@@ -5,7 +5,8 @@ Layout:
     topology  network geometry and per-slot Rayleigh channel draws
     sdp       dense block-SDP interior-point solver
     beamform  optimization instance builder, beamformer recovery, power math
-    division  group-division iteration, brute force oracle, fixed baselines
+    division  per-draw division evaluator, group-division iteration,
+              brute force oracle, fixed baselines
     longterm  training stage and frozen-division long-term stage
     config    experiment configuration parsing and hashing
     validate  invariant suite
@@ -22,6 +23,7 @@ from .beamform import (
 from .config import ExperimentConfig, load_config
 from .division import (
     DivisionRunResult,
+    Instance,
     Termination,
     algorithm1,
     algorithm2,
@@ -47,6 +49,7 @@ __all__ = [
     "DivisionRunResult",
     "ExperimentConfig",
     "GroupDivision",
+    "Instance",
     "NetworkTopology",
     "Position",
     "PowerReport",

@@ -19,6 +19,7 @@ from .beamform import GroupDivision, PowerReport, SystemParams
 from .config import ConfigError, ExperimentConfig, load_config
 from .division import (
     DivisionRunResult,
+    Instance,
     Termination,
     algorithm1,
     algorithm2,
@@ -97,40 +98,41 @@ def _base_row(config: ExperimentConfig, **overrides) -> dict[str, str]:
     return row
 
 
-def _run_algorithm(
-    name: str, config: ExperimentConfig, params: SystemParams, topology, channels
-) -> DivisionRunResult:
-    opts = config.solver
+def _run_algorithm(name: str, config: ExperimentConfig, instance: Instance) -> DivisionRunResult:
     if name == "alg1" or name == "alg2":
         fn = algorithm1 if name == "alg1" else algorithm2
         return fn(
-            topology,
-            channels,
-            params,
+            instance,
             poor_channel_factor=config.poor_channel_factor,
             boundary_band=config.boundary_band,
             max_division_iters=config.max_division_iters,
-            options=opts,
         )
     if name == "all-fet":
-        return baseline_all_fet(topology, channels, params, options=opts)
+        return baseline_all_fet(instance)
     if name == "all-met":
-        return baseline_all_met(topology, channels, params, options=opts)
+        return baseline_all_met(instance)
     if name == "brute":
-        return brute_force(topology, channels, params, config.brute_force_cap, options=opts)
+        return brute_force(instance, config.brute_force_cap)
     raise ConfigError(f"unknown algorithm {name!r}")
 
 
-def _trial_instance(config: ExperimentConfig, trial: int):
-    topology = generate_topology(
+def _trial_topology(config: ExperimentConfig, trial: int):
+    return generate_topology(
         seed=derived_seed(config.seed, trial, 0),
         n_rrh=config.n_rrh,
         n_it=config.n_it,
         n_et=config.n_et,
         inter_rrh_distance=config.inter_rrh_distance,
     )
-    channels = draw_channels(topology, seed=derived_seed(config.seed, trial, 1), slot=0)
-    return topology, channels
+
+
+def _trial_instance(config: ExperimentConfig, trial: int, params: SystemParams) -> Instance:
+    """The trial's draw under `params`, shared by every algorithm of the trial."""
+    topology = _trial_topology(config, trial)
+    channels = draw_channels(
+        topology, seed=derived_seed(config.seed, trial, 1), slot=0, alpha_abs=params.alpha_abs
+    )
+    return Instance(topology, channels, params, config.solver)
 
 
 def _slot_rows(
@@ -141,10 +143,10 @@ def _slot_rows(
 ) -> list[dict[str, str]]:
     rows = []
     for trial in range(config.n_trials):
-        topology, channels = _trial_instance(config, trial)
+        instance = _trial_instance(config, trial, params)
         for name in config.algorithms:
             start = time.perf_counter()
-            result = _run_algorithm(name, config, params, topology, channels)
+            result = _run_algorithm(name, config, instance)
             ms = (time.perf_counter() - start) * 1e3
             row = _base_row(
                 config,
@@ -212,7 +214,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
     unsolved_slots = {v: 0 for v in LONGTERM_VARIANTS}
 
     for trial in range(config.n_trials):
-        topology, _ = _trial_instance(config, trial)
+        topology = _trial_topology(config, trial)
         train_seed = derived_seed(config.seed, trial, 2)
         lt_seed = derived_seed(config.seed, trial, 3)
         start = time.perf_counter()

@@ -5,6 +5,10 @@ MET/FET split with a range-based reclassification of every ET, refined by
 explicit two-way solves for terminals sitting near a free charge range
 boundary.  Two initializations are provided (all-MET and green-range based),
 plus an exhaustive brute-force oracle and the two fixed baselines.
+
+Every search runs on an `Instance`: one channel draw with its parameters,
+which solves each division at most once however many searches and rounds
+ask for it.
 """
 
 import logging
@@ -19,7 +23,7 @@ from .beamform import (
     solve_division,
     unsolved_report,
 )
-from .sdp import SdpStatus, SolverOptions
+from .sdp import SdpSolution, SdpStatus, SolverOptions
 from .topology import D_MIN_M, assigned_rrh
 
 POOR_CHANNEL_FACTOR = 0.05
@@ -35,6 +39,8 @@ class Termination(str, Enum):
     CYCLE_BROKEN = "CycleBroken"
     INFEASIBLE = "Infeasible"
     ITERATION_CAP = "IterationCap"
+    # a division proved infeasible mid-run; the search returns the last solved round
+    INFEASIBLE_REVERTED = "InfeasibleReverted"
     # an SDP solve ended without converging, so feasibility is unknown
     NOT_CONVERGED = "NotConverged"
 
@@ -79,6 +85,38 @@ class DivisionRunResult:
     termination: Termination
 
 
+class Instance:
+    """One channel draw's division problem: topology, channels, params, options.
+
+    `evaluate(division)` returns `solve_division`'s (PowerReport, SdpSolution)
+    and keeps it for the instance's lifetime, keyed by the division's bitmask,
+    so every search run on one instance solves each division once.  Callers
+    share the returned objects and must not modify them.
+    """
+
+    def __init__(
+        self,
+        topology,
+        channels,
+        params: SystemParams,
+        options: SolverOptions | None = None,
+    ):
+        self.topology = topology
+        self.channels = channels
+        self.params = params
+        self.options = options
+        self._solved: dict[int, tuple[PowerReport, SdpSolution]] = {}
+
+    def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
+        division.validate_for(self.topology.n_et)
+        key = division.to_bitmask()
+        if key not in self._solved:
+            self._solved[key] = solve_division(
+                self.topology, self.channels, division, self.params, self.options
+            )
+        return self._solved[key]
+
+
 def _assigned_distance(topology, et_index: int) -> tuple[int, float]:
     n, dist = assigned_rrh(topology, et_index)
     return n, max(dist, D_MIN_M)
@@ -117,13 +155,10 @@ def channel_check(
 
 
 def boundary_refine(
-    topology,
-    channels,
+    instance: Instance,
     division: GroupDivision,
     ranges,
-    params: SystemParams,
     boundary_band: float = BOUNDARY_BAND,
-    options: SolverOptions | None = None,
 ) -> GroupDivision:
     """Re-decide ETs within `boundary_band` (relative) of their RRH's range.
 
@@ -132,6 +167,7 @@ def boundary_refine(
     to the next index (ties prefer FET).  If neither assignment solves to
     optimality (infeasible, or not converged) the current one is kept.
     """
+    topology = instance.topology
     met, fet = set(division.met_set), set(division.fet_set)
     for j in range(topology.n_et):
         n, d = _assigned_distance(topology, j)
@@ -139,8 +175,8 @@ def boundary_refine(
             continue
         as_met = GroupDivision(frozenset(met | {j}), frozenset(fet - {j}))
         as_fet = GroupDivision(frozenset(met - {j}), frozenset(fet | {j}))
-        rep_met, _ = solve_division(topology, channels, as_met, params, options)
-        rep_fet, _ = solve_division(topology, channels, as_fet, params, options)
+        rep_met, _ = instance.evaluate(as_met)
+        rep_fet, _ = instance.evaluate(as_fet)
         if not rep_met.feasible and not rep_fet.feasible:
             if rep_met.status is rep_fet.status is SdpStatus.INFEASIBLE:
                 why = "infeasible both ways"
@@ -158,40 +194,54 @@ def boundary_refine(
 
 
 def update_division(
-    topology,
-    channels,
+    instance: Instance,
     prev: GroupDivision,
-    params: SystemParams,
     boundary_band: float = BOUNDARY_BAND,
-    options: SolverOptions | None = None,
 ) -> tuple[GroupDivision, PowerReport]:
     """One division update round.
 
-    Solves the SDP under `prev`, reclassifies every ET against the resulting
-    free charge ranges, refines boundary terminals, and returns the new
-    division together with the report of the solve under `prev`.  Raises
-    `InfeasibleDivision` only for a certified infeasible solve and
-    `UnsolvedDivision` for one that did not converge.
+    Evaluates `prev`, reclassifies every ET against the resulting free charge
+    ranges, refines boundary terminals, and returns the new division
+    together with the report of `prev`.  Raises `InfeasibleDivision` only
+    for a certified infeasible solve and `UnsolvedDivision` for one that did
+    not converge.
     """
-    report, _ = solve_division(topology, channels, prev, params, options)
+    report, _ = instance.evaluate(prev)
     if report.status is SdpStatus.INFEASIBLE:
         raise InfeasibleDivision(f"division {prev} admits no feasible beamforming")
     if not report.feasible:
         raise UnsolvedDivision(
             f"division {prev}: solver ended with {report.status.value}", report.status
         )
-    division = _classify_by_ranges(topology, report.ranges)
-    division = boundary_refine(
-        topology, channels, division, report.ranges, params, boundary_band, options
-    )
+    division = _classify_by_ranges(instance.topology, report.ranges)
+    division = boundary_refine(instance, division, report.ranges, boundary_band)
     return division, report
+
+
+def _single_result(
+    division: GroupDivision,
+    report: PowerReport,
+    termination: Termination = Termination.FIXED_POINT,
+) -> DivisionRunResult:
+    """A one-round result: `division` with its terminal repeat when `report`
+    solved, else a single NaN entry and the failure's termination."""
+    if not report.feasible:
+        return DivisionRunResult(
+            final_division=division,
+            report=report,
+            iterations=1,
+            history=((division, float("nan")),),
+            termination=Termination.for_failure(report.status),
+        )
+    history = ((division, report.objective), (division, report.objective))
+    return DivisionRunResult(division, report, 1, history, termination)
 
 
 def _iterate(initial: GroupDivision, update_fn, max_iters: int, n_rrh: int) -> DivisionRunResult:
     """Drive `update_fn` to a fixed point, cycle, infeasibility, or the cap.
 
     A division that fails to solve mid-run reverts to the last solved round:
-    an infeasible one ends as IterationCap, a non-converged one as
+    an infeasible one ends as InfeasibleReverted, a non-converged one as
     NotConverged.  A failure in the first round has nothing to revert to and
     returns a NaN report with the solver's status.
     """
@@ -203,15 +253,9 @@ def _iterate(initial: GroupDivision, update_fn, max_iters: int, n_rrh: int) -> D
         except (InfeasibleDivision, UnsolvedDivision) as exc:
             status = exc.status
             if not rounds:
-                return DivisionRunResult(
-                    final_division=group,
-                    report=unsolved_report(n_rrh, status),
-                    iterations=1,
-                    history=((group, float("nan")),),
-                    termination=Termination.for_failure(status),
-                )
+                return _single_result(group, unsolved_report(n_rrh, status))
             termination = (
-                Termination.ITERATION_CAP
+                Termination.INFEASIBLE_REVERTED
                 if status is SdpStatus.INFEASIBLE
                 else Termination.NOT_CONVERGED
             )
@@ -249,113 +293,73 @@ def _iterate(initial: GroupDivision, update_fn, max_iters: int, n_rrh: int) -> D
     )
 
 
-def _make_update(topology, channels, params, boundary_band, options):
-    def update(prev: GroupDivision):
-        return update_division(topology, channels, prev, params, boundary_band, options)
-
-    return update
-
-
 def _run_iterative(
-    topology,
-    channels,
-    params: SystemParams,
+    instance: Instance,
     initial: GroupDivision,
     poor_channel_factor: float,
     boundary_band: float,
     max_division_iters: int,
-    options: SolverOptions | None,
 ) -> DivisionRunResult:
-    start = channel_check(topology, channels, initial, params, poor_channel_factor)
-    update_fn = _make_update(topology, channels, params, boundary_band, options)
-    return _iterate(start, update_fn, max_division_iters, topology.n_rrh)
+    start = channel_check(
+        instance.topology, instance.channels, initial, instance.params, poor_channel_factor
+    )
+
+    def update(prev: GroupDivision):
+        return update_division(instance, prev, boundary_band)
+
+    return _iterate(start, update, max_division_iters, instance.topology.n_rrh)
 
 
 def algorithm1(
-    topology,
-    channels,
-    params: SystemParams,
+    instance: Instance,
     poor_channel_factor: float = POOR_CHANNEL_FACTOR,
     boundary_band: float = BOUNDARY_BAND,
     max_division_iters: int = MAX_DIVISION_ITERS,
-    options: SolverOptions | None = None,
 ) -> DivisionRunResult:
     """Iterative division starting from the all-MET assumption."""
     return _run_iterative(
-        topology,
-        channels,
-        params,
-        GroupDivision.all_met(topology.n_et),
+        instance,
+        GroupDivision.all_met(instance.topology.n_et),
         poor_channel_factor,
         boundary_band,
         max_division_iters,
-        options,
     )
 
 
 def algorithm2(
-    topology,
-    channels,
-    params: SystemParams,
+    instance: Instance,
     poor_channel_factor: float = POOR_CHANNEL_FACTOR,
     boundary_band: float = BOUNDARY_BAND,
     max_division_iters: int = MAX_DIVISION_ITERS,
-    options: SolverOptions | None = None,
 ) -> DivisionRunResult:
     """Iterative division seeded by each RRH's green-energy-only range."""
-    green = initial_green_range(params)
+    topology = instance.topology
+    green = initial_green_range(instance.params)
     met, fet = set(), set()
     for j in range(topology.n_et):
         n, d = _assigned_distance(topology, j)
         (fet if d <= green[n] else met).add(j)
     initial = GroupDivision(met_set=frozenset(met), fet_set=frozenset(fet))
     return _run_iterative(
-        topology,
-        channels,
-        params,
-        initial,
-        poor_channel_factor,
-        boundary_band,
-        max_division_iters,
-        options,
+        instance, initial, poor_channel_factor, boundary_band, max_division_iters
     )
 
 
-def _single_division_result(topology, channels, division, params, options) -> DivisionRunResult:
-    report, _ = solve_division(topology, channels, division, params, options)
-    if not report.feasible:
-        return DivisionRunResult(
-            final_division=division,
-            report=report,
-            iterations=1,
-            history=((division, float("nan")),),
-            termination=Termination.for_failure(report.status),
-        )
-    history = ((division, report.objective), (division, report.objective))
-    return DivisionRunResult(division, report, 1, history, Termination.FIXED_POINT)
-
-
-def brute_force(
-    topology,
-    channels,
-    params: SystemParams,
-    brute_force_cap: int = BRUTE_FORCE_CAP,
-    options: SolverOptions | None = None,
-) -> DivisionRunResult:
+def brute_force(instance: Instance, brute_force_cap: int = BRUTE_FORCE_CAP) -> DivisionRunResult:
     """Exhaustive search over all 2^U_E divisions; the optimality oracle.
 
     The minimum is certified only if every division solved or was certified
     infeasible.  When any solve did not converge the cheapest solved division
     is still returned, but with termination NotConverged.
     """
-    n_et = topology.n_et
+    n_et = instance.topology.n_et
     if n_et > brute_force_cap:
         raise ValueError(f"{n_et} ETs exceed the brute force cap of {brute_force_cap}")
     best: tuple[GroupDivision, PowerReport] | None = None
     unsolved = None
     for mask in range(1 << n_et):
         division = GroupDivision.from_bitmask(mask, n_et)
-        report, _ = solve_division(topology, channels, division, params, options)
+        report, _ = instance.evaluate(division)
         if not report.feasible:
             if report.status is not SdpStatus.INFEASIBLE:
                 unsolved = unsolved or report.status
@@ -363,38 +367,20 @@ def brute_force(
             best = (division, report)
     if best is None:
         status = unsolved or SdpStatus.INFEASIBLE
-        return DivisionRunResult(
-            final_division=GroupDivision.all_met(n_et),
-            report=unsolved_report(topology.n_rrh, status),
-            iterations=1,
-            history=((GroupDivision.all_met(n_et), float("nan")),),
-            termination=Termination.for_failure(status),
+        return _single_result(
+            GroupDivision.all_met(n_et), unsolved_report(instance.topology.n_rrh, status)
         )
-    division, report = best
-    history = ((division, report.objective), (division, report.objective))
     termination = Termination.FIXED_POINT if unsolved is None else Termination.NOT_CONVERGED
-    return DivisionRunResult(division, report, 1, history, termination)
+    return _single_result(*best, termination)
 
 
-def baseline_all_fet(
-    topology,
-    channels,
-    params: SystemParams,
-    options: SolverOptions | None = None,
-) -> DivisionRunResult:
+def baseline_all_fet(instance: Instance) -> DivisionRunResult:
     """Fixed division treating every ET as free; infeasibility is a valid outcome."""
-    return _single_division_result(
-        topology, channels, GroupDivision.all_fet(topology.n_et), params, options
-    )
+    division = GroupDivision.all_fet(instance.topology.n_et)
+    return _single_result(division, instance.evaluate(division)[0])
 
 
-def baseline_all_met(
-    topology,
-    channels,
-    params: SystemParams,
-    options: SolverOptions | None = None,
-) -> DivisionRunResult:
+def baseline_all_met(instance: Instance) -> DivisionRunResult:
     """Fixed division keeping every ET CSI-assisted."""
-    return _single_division_result(
-        topology, channels, GroupDivision.all_met(topology.n_et), params, options
-    )
+    division = GroupDivision.all_met(instance.topology.n_et)
+    return _single_result(division, instance.evaluate(division)[0])

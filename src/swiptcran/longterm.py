@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamform import GroupDivision, PowerReport, SystemParams, solve_division
-from .division import DivisionRunResult, algorithm1, algorithm2
+from .division import DivisionRunResult, Instance, algorithm1, algorithm2
 from .sdp import SdpStatus, SolverOptions
 from .topology import ChannelRealization, draw_channels
 
@@ -74,8 +74,10 @@ def training_stage(
 ) -> TrainingResult:
     """Estimate each ET's FET frequency over `q_training` fading slots.
 
-    The frozen division assigns FET to every ET whose frequency reaches
-    `threshold`; an exact tie freezes as FET (the CSI-free mode is cheaper).
+    `algorithm` (a name in `ALGORITHMS`, or a callable taking an `Instance`)
+    runs once per slot on that slot's draw.  The frozen division assigns FET
+    to every ET whose frequency reaches `threshold`; an exact tie freezes as
+    FET (the CSI-free mode is cheaper).
     """
     if q_training < 1:
         raise ValueError("q_training must be at least 1")
@@ -93,8 +95,8 @@ def training_stage(
     slots_used = 0
     unsolved = None
     for slot in range(q_training):
-        channels = draw_channels(topology, seed, slot)
-        result: DivisionRunResult = run(topology, channels, params, options=options)
+        channels = draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs)
+        result: DivisionRunResult = run(Instance(topology, channels, params, options))
         if not result.report.feasible:
             if result.report.status is not SdpStatus.INFEASIBLE:
                 unsolved = unsolved or result.report.status
@@ -140,7 +142,8 @@ def longterm_stage(
     division.validate_for(topology.n_et)
     reports = []
     for slot in range(q_longterm):
-        channels = mask_fet_channels(draw_channels(topology, seed, slot), division)
+        channels = draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs)
+        channels = mask_fet_channels(channels, division)
         report, _ = solve_division(topology, channels, division, params, options)
         reports.append(report)
     return reports

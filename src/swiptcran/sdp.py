@@ -62,12 +62,13 @@ def _clean_herm(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
     a = np.asarray(mat, dtype=np.complex128)
     if a.shape != (dim, dim):
         raise ValueError(f"{what}: expected shape {(dim, dim)}, got {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # complex isfinite: both parts finite
         raise ValueError(f"{what}: non-finite entries")
+    a_h = a.conj().T
     scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    if float(np.max(np.abs(a - a.conj().T))) > _HERM_TOL * scale:
+    if float(np.max(np.abs(a - a_h))) > _HERM_TOL * scale:
         raise ValueError(f"{what}: not Hermitian")
-    return (a + a.conj().T) / 2.0
+    return (a + a_h) / 2.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,13 @@ class SdpProblem:
     obj_scalars: dict
     constraints: tuple
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[dict, tuple]:
+        """Check the instance and return its coefficient matrices made Hermitian.
+
+        Returns (objective blocks, constraint blocks): block index -> cleaned
+        matrix, the second once per constraint.  `solve` assembles its
+        standard form from these, so each matrix is cleaned once per solve.
+        """
         dims = tuple(int(d) for d in self.block_dims)
         if any(d < 1 for d in dims):
             raise ValueError("block dimensions must be >= 1")
@@ -108,27 +115,32 @@ class SdpProblem:
             raise ValueError("n_scalars must be >= 0")
         if len(dims) == 0 and self.n_scalars == 0:
             raise ValueError("problem has no variables")
+        obj_blocks = {}
         for b, mat in self.obj_blocks.items():
             if not 0 <= b < len(dims):
                 raise ValueError(f"objective references unknown block {b}")
-            _clean_herm(mat, dims[b], f"objective block {b}")
+            obj_blocks[b] = _clean_herm(mat, dims[b], f"objective block {b}")
         for j, v in self.obj_scalars.items():
             if not 0 <= j < self.n_scalars:
                 raise ValueError(f"objective references unknown scalar {j}")
             if not math.isfinite(float(v)):
                 raise ValueError("objective scalar coefficients must be finite")
+        con_blocks = []
         for k, con in enumerate(self.constraints):
             if not isinstance(con, SdpConstraint):
                 raise TypeError(f"constraint {k} is not an SdpConstraint")
+            cleaned = {}
             for b, mat in con.blocks.items():
                 if not 0 <= b < len(dims):
                     raise ValueError(f"constraint {k} references unknown block {b}")
-                _clean_herm(mat, dims[b], f"constraint {k} block {b}")
+                cleaned[b] = _clean_herm(mat, dims[b], f"constraint {k} block {b}")
+            con_blocks.append(cleaned)
             for j, v in con.scalars.items():
                 if not 0 <= j < self.n_scalars:
                     raise ValueError(f"constraint {k} references unknown scalar {j}")
                 if not math.isfinite(float(v)):
                     raise ValueError(f"constraint {k}: non-finite scalar coefficient")
+        return obj_blocks, tuple(con_blocks)
 
 
 @dataclass
@@ -184,9 +196,12 @@ class _Group:
 
 
 class _StdForm:
-    """Equality-form data: A(X) + G u = r, X PSD blocks, u >= 0 (scalars+slacks)."""
+    """Equality-form data: A(X) + G u = r, X PSD blocks, u >= 0 (scalars+slacks).
 
-    def __init__(self, problem: SdpProblem):
+    `cleaned` is what `problem.validate()` returned.
+    """
+
+    def __init__(self, problem: SdpProblem, cleaned: tuple[dict, tuple]):
         dims = tuple(int(d) for d in problem.block_dims)
         n_blocks = len(dims)
         cons = problem.constraints
@@ -216,9 +231,10 @@ class _StdForm:
                 self.group_of_block[b] = gi
                 self.pos_in_group[b] = p
 
-        for b, mat in problem.obj_blocks.items():
+        obj_blocks, con_blocks = cleaned
+        for b, mat in obj_blocks.items():
             g = self.groups[self.group_of_block[b]]
-            g.C[self.pos_in_group[b]] = _embed(_clean_herm(mat, dims[b], "C")) / 2.0
+            g.C[self.pos_in_group[b]] = _embed(mat) / 2.0
 
         self.G = np.zeros((k_total, self.n_u))
         self.c_u = np.zeros(self.n_u)
@@ -227,11 +243,9 @@ class _StdForm:
         self.r = np.zeros(k_total)
         slack_col = n_scalars
         for k, con in enumerate(cons):
-            for b, mat in con.blocks.items():
+            for b, mat in con_blocks[k].items():
                 g = self.groups[self.group_of_block[b]]
-                g.A[k, self.pos_in_group[b]] = _embed(
-                    _clean_herm(mat, dims[b], "A")
-                ) / 2.0
+                g.A[k, self.pos_in_group[b]] = _embed(mat) / 2.0
             for j, v in con.scalars.items():
                 self.G[k, j] = float(v)
             self.r[k] = float(con.rhs)
@@ -355,8 +369,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     `detail`, and residual fields always reflect the returned iterate.
     """
     opts = options or SolverOptions()
-    problem.validate()
-    std = _StdForm(problem)
+    std = _StdForm(problem, problem.validate())
 
     if std.k_total == 0:
         return _solve_unconstrained(problem, std, opts)

@@ -22,6 +22,7 @@ from .beamform import (
     recover_beamformers,
 )
 from .division import (
+    Instance,
     Termination,
     algorithm1,
     algorithm2,
@@ -130,17 +131,14 @@ def check_division_sandwich(options: SolverOptions, seed: int = 21) -> CheckResu
     """Brute force lower-bounds both algorithms and both baselines."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=2, n_et=4)
     channels = draw_channels(topology, seed=seed, slot=0)
-    params = SystemParams()
-    oracle = brute_force(topology, channels, params, options=options)
+    instance = Instance(topology, channels, SystemParams(), options)
+    oracle = brute_force(instance)
     if oracle.termination is not Termination.FIXED_POINT:
         return CheckResult(
             "division-sandwich", False, f"seed {seed}: oracle ended {oracle.termination.value}"
         )
     rivals = [
-        algorithm1(topology, channels, params, options=options),
-        algorithm2(topology, channels, params, options=options),
-        baseline_all_fet(topology, channels, params, options=options),
-        baseline_all_met(topology, channels, params, options=options),
+        run(instance) for run in (algorithm1, algorithm2, baseline_all_fet, baseline_all_met)
     ]
     for result in rivals:
         if result.report.feasible and oracle.report.objective > result.report.objective + 1e-6:
@@ -194,9 +192,9 @@ def check_division_invariants(options: SolverOptions, seed: int = 14) -> CheckRe
     """History partitions, terminal repeats, idempotence, iteration bounds."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=5)
     channels = draw_channels(topology, seed=seed, slot=0)
-    params = SystemParams()
+    instance = Instance(topology, channels, SystemParams(), options)
     for name, run in (("alg1", algorithm1), ("alg2", algorithm2)):
-        result = run(topology, channels, params, options=options)
+        result = run(instance)
         if result.iterations > 50:
             return CheckResult(
                 "division-invariants", False, f"seed {seed} {name}: {result.iterations} rounds"
@@ -211,9 +209,7 @@ def check_division_invariants(options: SolverOptions, seed: int = 14) -> CheckRe
                 return CheckResult(
                     "division-invariants", False, f"seed {seed} {name}: missing terminal repeat"
                 )
-            again, _ = update_division(
-                topology, channels, result.final_division, params, options=options
-            )
+            again, _ = update_division(instance, result.final_division)
             if again != result.final_division:
                 return CheckResult(
                     "division-invariants", False, f"seed {seed} {name}: fixed point not idempotent"
@@ -227,7 +223,7 @@ def check_determinism(options: SolverOptions, seed: int = 33) -> CheckResult:
     for _ in range(2):
         topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=5)
         channels = draw_channels(topology, seed=seed, slot=0)
-        result = algorithm2(topology, channels, SystemParams(), options=options)
+        result = algorithm2(Instance(topology, channels, SystemParams(), options))
         runs.append((topology, channels, result))
     (t1, c1, r1), (t2, c2, r2) = runs
     if t1.rrh_positions != t2.rrh_positions or t1.et_positions != t2.et_positions:

@@ -27,6 +27,7 @@ from swiptcran.beamform import (
 )
 from swiptcran.config import dbm_to_watts
 from swiptcran.division import (
+    Instance,
     algorithm1,
     algorithm2,
     baseline_all_fet,
@@ -146,16 +147,16 @@ def test_criterion_4_oracle_sandwich():
     n_instances = 50
     beats_baseline = {"alg1": 0, "alg2": 0}
     for seed in range(n_instances):
-        topo, ch = _instance(seed, n_it=3, n_et=4)
-        oracle = brute_force(topo, ch, PARAMS)
-        fet = baseline_all_fet(topo, ch, PARAMS)
-        met = baseline_all_met(topo, ch, PARAMS)
+        instance = Instance(*_instance(seed, n_it=3, n_et=4), PARAMS)
+        oracle = brute_force(instance)
+        fet = baseline_all_fet(instance)
+        met = baseline_all_met(instance)
         baseline_objs = [
             r.report.objective for r in (fet, met) if r.report.feasible
         ]
         best_baseline = min(baseline_objs) if baseline_objs else None
         for name, alg in (("alg1", algorithm1), ("alg2", algorithm2)):
-            result = alg(topo, ch, PARAMS)
+            result = alg(instance)
             if oracle.report.feasible and result.report.feasible:
                 gap = result.report.objective - oracle.report.objective
                 assert gap >= -1e-6, f"seed {seed}: {name} beat the exhaustive oracle by {-gap:.3e} mW"
@@ -192,10 +193,11 @@ def test_criterion_5_assisted_floor_sweep_trend():
     for trial in range(n_trials):
         topo, ch = _instance(trial, n_it=3, n_et=7)
         for k, params in enumerate(params_by_value):
+            instance = Instance(topo, ch, params)
             runs = {
-                "alg1": algorithm1(topo, ch, params),
-                "alg2": algorithm2(topo, ch, params),
-                "all-met": baseline_all_met(topo, ch, params),
+                "alg1": algorithm1(instance),
+                "alg2": algorithm2(instance),
+                "all-met": baseline_all_met(instance),
             }
             for name, result in runs.items():
                 if result.report.feasible:

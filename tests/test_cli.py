@@ -85,9 +85,21 @@ class TestSingleSlotRows:
 
     def test_unknown_algorithm_rejected(self, small_conf):
         config = load_config(small_conf)
-        topo, ch = cli._trial_instance(config, 0)
+        instance = cli._trial_instance(config, 0, config.params)
         with pytest.raises(ConfigError):
-            cli._run_algorithm("alg9", config, config.params, topo, ch)
+            cli._run_algorithm("alg9", config, instance)
+
+    def test_alpha_abs_reaches_channel_draws(self, tmp_path):
+        # all-MET floors ignore alpha_abs, so only the fading draw can move them
+        objectives = []
+        for alpha in (2.5, 3.0):
+            conf = tmp_path / f"alpha-{alpha}.conf"
+            conf.write_text(SMALL_CONF + f"system.alpha_abs = {alpha}\n", encoding="utf-8")
+            config = load_config(str(conf), {"run.algorithms": "all-met", "run.n_trials": 1})
+            rows, _ = cli.run_single_slot(config)
+            assert rows[0]["status"] == "Optimal"
+            objectives.append(rows[0]["objective_mw"])
+        assert objectives[0] != objectives[1]
 
 
 class TestMainSingleSlot:

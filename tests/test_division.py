@@ -13,10 +13,12 @@ from swiptcran.beamform import (
     infeasible_report,
     solve_division,
 )
+import swiptcran.division as division_module
 from swiptcran.division import (
     BRUTE_FORCE_CAP,
     DivisionRunResult,
     InfeasibleDivision,
+    Instance,
     Termination,
     UnsolvedDivision,
     _iterate,
@@ -42,9 +44,9 @@ from swiptcran.topology import (
 PARAMS = SystemParams()
 
 
-def _instance(seed: int, n_it: int = 3, n_et: int = 7):
+def _instance(seed: int, n_it: int = 3, n_et: int = 7, options=None) -> Instance:
     topo = generate_topology(seed=seed, n_rrh=3, n_it=n_it, n_et=n_et)
-    return topo, draw_channels(topo, seed=seed, slot=0)
+    return Instance(topo, draw_channels(topo, seed=seed, slot=0), PARAMS, options)
 
 
 def _fake_report(objective: float) -> PowerReport:
@@ -118,58 +120,56 @@ class TestChannelCheck:
 
 class TestBoundaryRefine:
     def test_zero_band_is_identity(self):
-        topo, ch = _instance(11)
+        inst = _instance(11)
         division = GroupDivision.all_met(7)
         ranges = np.full(3, 50.0)
-        out = boundary_refine(topo, ch, division, ranges, PARAMS, boundary_band=0.0)
+        out = boundary_refine(inst, division, ranges, boundary_band=0.0)
         assert out == division
 
     def test_far_from_boundary_is_untouched(self):
-        topo, ch = _instance(11)
+        inst = _instance(11)
         division = GroupDivision.all_met(7)
-        out = boundary_refine(topo, ch, division, np.full(3, 1e6), PARAMS)
+        out = boundary_refine(inst, division, np.full(3, 1e6))
         assert out == division
 
     def test_near_terminal_moves_to_cheaper_side(self):
         # a terminal inside the band whose FET floor is nearly free should
         # end up free: the MET floor binds harder than the geometric one
-        topo, ch = _instance(11)
+        inst = _instance(11)
         division = GroupDivision.all_met(7)
-        _, d0 = assigned_rrh(topo, 0)
+        _, d0 = assigned_rrh(inst.topology, 0)
         d0 = max(d0, 1.0)
         ranges = np.full(3, d0 * 1.01)
-        out = boundary_refine(topo, ch, division, ranges, PARAMS)
+        out = boundary_refine(inst, division, ranges)
         assert 0 in out.fet_set
 
     def test_keeps_assignment_when_both_sides_infeasible(self, caplog):
-        topo, ch = _instance(0, n_it=4)  # four SINR floors: always infeasible
+        inst = _instance(0, n_it=4)  # four SINR floors: always infeasible
         division = GroupDivision.all_met(7)
-        _, d0 = assigned_rrh(topo, 0)
+        _, d0 = assigned_rrh(inst.topology, 0)
         ranges = np.full(3, max(d0, 1.0) * 1.01)
         with caplog.at_level(logging.WARNING, logger="swiptcran.division"):
-            out = boundary_refine(topo, ch, division, ranges, PARAMS)
+            out = boundary_refine(inst, division, ranges)
         assert out == division
         assert any("infeasible both ways" in rec.message for rec in caplog.records)
 
 
 class TestUpdateDivision:
     def test_returns_partition_and_previous_report(self):
-        topo, ch = _instance(11)
-        nxt, report = update_division(topo, ch, GroupDivision.all_met(7), PARAMS)
+        nxt, report = update_division(_instance(11), GroupDivision.all_met(7))
         nxt.validate_for(7)
         assert report.feasible
         assert report.objective > 0
 
     def test_raises_on_infeasible_division(self):
-        topo, ch = _instance(0, n_it=4)
         with pytest.raises(InfeasibleDivision):
-            update_division(topo, ch, GroupDivision.all_met(7), PARAMS)
+            update_division(_instance(0, n_it=4), GroupDivision.all_met(7))
 
     def test_fixed_point_is_idempotent(self):
-        topo, ch = _instance(11)
-        result = algorithm1(topo, ch, PARAMS)
+        inst = _instance(11)
+        result = algorithm1(inst)
         assert result.termination is Termination.FIXED_POINT
-        again, _ = update_division(topo, ch, result.final_division, PARAMS)
+        again, _ = update_division(inst, result.final_division)
         assert again == result.final_division
 
 
@@ -212,7 +212,7 @@ class TestIterateSeam:
         g0, g1 = self.G[0], self.G[1]
         update = _scripted({g0: g1, g1: None}, {g0: 6.0})
         res = _iterate(g0, update, max_iters=50, n_rrh=3)
-        assert res.termination is Termination.ITERATION_CAP
+        assert res.termination is Termination.INFEASIBLE_REVERTED
         assert res.final_division == g0
         assert res.report.objective == 6.0
         assert res.history == ((g0, 6.0),)
@@ -246,27 +246,27 @@ class TestIterateSeam:
 class TestAlgorithms:
     @pytest.mark.parametrize("seed", [3, 11, 21])
     def test_brute_force_is_lower_bound(self, seed):
-        topo, ch = _instance(seed, n_et=4)
-        oracle = brute_force(topo, ch, PARAMS)
+        inst = _instance(seed, n_et=4)
+        oracle = brute_force(inst)
         assert oracle.termination is Termination.FIXED_POINT
         for alg in (algorithm1, algorithm2):
-            res = alg(topo, ch, PARAMS)
+            res = alg(inst)
             if res.report.feasible:
                 assert res.report.objective >= oracle.report.objective - 1e-6
 
     @pytest.mark.parametrize("seed", [3, 11, 21])
     def test_brute_force_beats_baselines(self, seed):
-        topo, ch = _instance(seed, n_et=4)
-        oracle = brute_force(topo, ch, PARAMS)
+        inst = _instance(seed, n_et=4)
+        oracle = brute_force(inst)
         for baseline in (baseline_all_fet, baseline_all_met):
-            res = baseline(topo, ch, PARAMS)
+            res = baseline(inst)
             if res.report.feasible:
                 assert oracle.report.objective <= res.report.objective + 1e-6
 
     def test_history_invariants(self):
-        topo, ch = _instance(11)
+        inst = _instance(11)
         for alg in (algorithm1, algorithm2):
-            res = alg(topo, ch, PARAMS)
+            res = alg(inst)
             assert res.termination is Termination.FIXED_POINT
             assert res.iterations <= 50
             assert len(res.history) == res.iterations + 1
@@ -277,9 +277,8 @@ class TestAlgorithms:
             assert res.history[-1] == res.history[-2]
 
     def test_deterministic(self):
-        topo, ch = _instance(11)
-        a = algorithm2(topo, ch, PARAMS)
-        b = algorithm2(topo, ch, PARAMS)
+        a = algorithm2(_instance(11))
+        b = algorithm2(_instance(11))
         assert a.final_division == b.final_division
         assert a.termination is b.termination
         assert a.history == b.history
@@ -291,14 +290,14 @@ class TestAlgorithms:
         # infeasible; only the IT SINR floors can.  Four ITs at 13 dB (the
         # reference load) exceed what three RRHs can steer, so algorithm 2's
         # all-FET start is certified infeasible by a Farkas ray
-        topo, ch = _instance(16, n_it=4)
-        res = algorithm2(topo, ch, PARAMS)
+        inst = _instance(16, n_it=4)
+        res = algorithm2(inst)
         assert res.termination is Termination.INFEASIBLE
         assert not res.report.feasible
         assert math.isnan(res.report.objective)
         assert res.report.status is SdpStatus.INFEASIBLE
         assert res.final_division == GroupDivision.all_fet(7)
-        _, solution = solve_division(topo, ch, res.final_division, PARAMS)
+        _, solution = inst.evaluate(res.final_division)
         assert solution.status is SdpStatus.INFEASIBLE
         assert solution.detail.startswith("Farkas dual ray certificate")
 
@@ -315,16 +314,14 @@ class TestAlgorithms:
         for infeasible.  The revert itself is covered by
         TestIterateSeam.test_mid_run_infeasible_reverts.
         """
-        topo, ch = _instance(16)
-        res = algorithm1(topo, ch, PARAMS)
+        res = algorithm1(_instance(16))
         assert res.termination is Termination.FIXED_POINT
         assert res.report.feasible
         assert res.final_division == res.history[-1][0]
         assert not any(math.isnan(objective) for _, objective in res.history)
 
     def test_baseline_shape(self):
-        topo, ch = _instance(11)
-        res = baseline_all_met(topo, ch, PARAMS)
+        res = baseline_all_met(_instance(11))
         assert res.termination is Termination.FIXED_POINT
         assert res.iterations == 1
         assert res.history[0] == res.history[1]
@@ -334,34 +331,92 @@ class TestAlgorithms:
         topo = generate_topology(seed=1, n_rrh=3, n_it=1, n_et=BRUTE_FORCE_CAP + 1)
         ch = draw_channels(topo, seed=1, slot=0)
         with pytest.raises(ValueError):
-            brute_force(topo, ch, PARAMS)
+            brute_force(Instance(topo, ch, PARAMS))
 
     def test_not_converged_is_not_infeasible(self):
         # a feasible draw under a solver cap too small to converge
-        topo, ch = _instance(11)
         opts = SolverOptions(max_iters=5)
-        report, solution = solve_division(topo, ch, GroupDivision.all_met(7), PARAMS, opts)
+        inst = _instance(11, options=opts)
+        report, solution = solve_division(
+            inst.topology, inst.channels, GroupDivision.all_met(7), PARAMS, opts
+        )
         assert solution.status is SdpStatus.MAX_ITERATIONS
         assert report.status is SdpStatus.MAX_ITERATIONS
         assert not report.feasible
         with pytest.raises(UnsolvedDivision) as excinfo:
-            update_division(topo, ch, GroupDivision.all_met(7), PARAMS, options=opts)
+            update_division(inst, GroupDivision.all_met(7))
         assert not isinstance(excinfo.value, InfeasibleDivision)
         assert excinfo.value.status is SdpStatus.MAX_ITERATIONS
-        runs = [
-            algorithm1(topo, ch, PARAMS, options=opts),
-            algorithm2(topo, ch, PARAMS, options=opts),
-            baseline_all_fet(topo, ch, PARAMS, options=opts),
-            baseline_all_met(topo, ch, PARAMS, options=opts),
-            brute_force(topo, ch, PARAMS, options=opts),
-        ]
-        for res in runs:
+        for alg in (algorithm1, algorithm2, baseline_all_fet, baseline_all_met, brute_force):
+            res = alg(inst)
             assert res.termination is Termination.NOT_CONVERGED
             assert res.report.status is SdpStatus.MAX_ITERATIONS
             assert not res.report.feasible
 
     def test_brute_force_all_infeasible(self):
-        topo, ch = _instance(0, n_it=4, n_et=2)
-        res = brute_force(topo, ch, PARAMS)
+        res = brute_force(_instance(0, n_it=4, n_et=2))
         assert res.termination is Termination.INFEASIBLE
         assert not res.report.feasible
+
+
+class TestInstance:
+    RUNS = (
+        ("alg1", algorithm1),
+        ("alg2", algorithm2),
+        ("all-fet", baseline_all_fet),
+        ("all-met", baseline_all_met),
+    )
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list[int]:
+        """Record the bitmask of every solve_division call the division module makes."""
+        masks = []
+        real = division_module.solve_division
+
+        def counted(topology, channels, division, params, options):
+            masks.append(division.to_bitmask())
+            return real(topology, channels, division, params, options)
+
+        monkeypatch.setattr(division_module, "solve_division", counted)
+        return masks
+
+    def test_each_division_solved_once_across_algorithms(self, monkeypatch):
+        masks = self._count_solves(monkeypatch)
+        inst = _instance(11)
+        for _, run in self.RUNS:
+            run(inst)
+        assert len(masks) == len(set(masks))
+        assert {0, (1 << 7) - 1} <= set(masks)  # both baselines' divisions
+
+    def test_shared_instance_gives_fresh_instance_results(self):
+        shared = _instance(11)
+        for name, run in self.RUNS:
+            a = run(shared)
+            b = run(_instance(11))
+            assert a.final_division == b.final_division, name
+            assert a.history == b.history, name
+            assert a.iterations == b.iterations, name
+            assert a.termination is b.termination, name
+            assert a.report.objective == b.report.objective, name
+            for field in ("p_op", "p_pu", "ranges"):
+                np.testing.assert_array_equal(
+                    getattr(a.report, field), getattr(b.report, field), err_msg=name
+                )
+
+    def test_brute_force_leaves_nothing_to_solve(self, monkeypatch):
+        masks = self._count_solves(monkeypatch)
+        inst = _instance(3, n_et=4)
+        oracle = brute_force(inst)
+        assert sorted(masks) == list(range(16))
+        for _, run in self.RUNS:
+            res = run(inst)
+            if res.report.feasible:
+                assert oracle.report.objective <= res.report.objective
+        assert len(masks) == 16
+
+    def test_evaluate_checks_the_partition_on_every_call(self):
+        inst = _instance(11, n_et=2)
+        inst.evaluate(GroupDivision.all_met(2))
+        # same bitmask as all-MET, but ET 1 is in neither set
+        with pytest.raises(ValueError):
+            inst.evaluate(GroupDivision(met_set=frozenset({0})))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swiptcran.beamform import GroupDivision, PowerReport, SystemParams, unsolved_report
-from swiptcran.division import DivisionRunResult, Termination
+from swiptcran.division import DivisionRunResult, Instance, Termination
 from swiptcran.longterm import (
     TrainingFailure,
     longterm_stage,
@@ -62,7 +62,7 @@ def _scripted_algorithm(outcomes):
     """Fake single-slot algorithm replaying `outcomes` across calls."""
     it = iter(outcomes)
 
-    def run(topology, channels, params, options=None):
+    def run(instance):
         return next(it)
 
     return run
@@ -129,6 +129,24 @@ class TestTrainingStage:
         assert excinfo.value.status is SdpStatus.MAX_ITERATIONS
         assert "infeasible" not in str(excinfo.value)
 
+    def test_each_slot_runs_on_its_own_draw(self):
+        topo = self._topology(n_et=2)
+        params = SystemParams(alpha_abs=3.0)
+        seen = []
+
+        def record(instance):
+            seen.append(instance)
+            return _feasible_result(GroupDivision.all_met(2))
+
+        training_stage(topo, seed=6, q_training=3, params=params, algorithm=record)
+        assert len({id(inst) for inst in seen}) == 3
+        for slot, inst in enumerate(seen):
+            assert isinstance(inst, Instance)
+            assert inst.params is params
+            expected = draw_channels(topo, seed=6, slot=slot, alpha_abs=3.0)
+            np.testing.assert_array_equal(inst.channels.h_et, expected.h_et)
+            np.testing.assert_array_equal(inst.channels.h_id, expected.h_id)
+
     def test_dense_it_load_never_trains(self):
         # four SINR floors on three RRHs: no fading draw is feasible
         topo = generate_topology(seed=0, n_rrh=3, n_it=4, n_et=7)
@@ -179,6 +197,18 @@ class TestLongtermStage:
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.p_op, rb.p_op)
             assert ra.objective == rb.objective
+
+    def test_alpha_abs_reaches_the_slot_draws(self):
+        topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
+        division = GroupDivision.all_met(4)
+        objectives = [
+            longterm_stage(
+                topo, seed=4, division=division, q_longterm=1, params=SystemParams(alpha_abs=a)
+            )[0].objective
+            for a in (2.5, 3.0)
+        ]
+        assert np.isfinite(objectives).all()
+        assert objectives[0] != objectives[1]
 
     def test_fet_reports_cannot_influence_results(self):
         # garbling what a silent terminal would have reported changes nothing

@@ -12,6 +12,7 @@ class TestPublicApi:
     def test_core_workflow_reachable_from_top_level(self):
         topo = swiptcran.generate_topology(seed=42, n_rrh=3, n_it=3, n_et=3)
         channels = swiptcran.draw_channels(topo, seed=42, slot=0)
-        result = swiptcran.algorithm2(topo, channels, swiptcran.SystemParams())
+        instance = swiptcran.Instance(topo, channels, swiptcran.SystemParams())
+        result = swiptcran.algorithm2(instance)
         assert result.termination is swiptcran.Termination.FIXED_POINT
         assert result.report.feasible

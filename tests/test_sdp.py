@@ -264,6 +264,23 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             problem.validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1j * np.nan, 1j * np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        mat = np.eye(2, dtype=complex)
+        mat[0, 1] = mat[1, 0] = bad
+        con = SdpConstraint({0: mat}, {}, ">=", 1.0)
+        problem = SdpProblem((2,), 0, {}, {}, (con,))
+        with pytest.raises(ValueError, match="non-finite"):
+            problem.validate()
+
+    def test_returns_the_hermitian_parts(self):
+        obj = np.array([[2.0, 1.0 + 1e-12j], [1.0, 3.0]], dtype=complex)
+        con = SdpConstraint({0: np.eye(2)}, {}, ">=", 1.0)
+        obj_blocks, con_blocks = SdpProblem((2,), 0, {0: obj}, {}, (con,)).validate()
+        np.testing.assert_array_equal(obj_blocks[0], (obj + obj.conj().T) / 2.0)
+        np.testing.assert_array_equal(con_blocks[0][0], np.eye(2, dtype=complex))
+        assert len(con_blocks) == 1
+
     def test_rejects_shape_mismatch(self):
         problem = SdpProblem((3,), 0, {0: np.eye(2, dtype=complex)}, {}, ())
         with pytest.raises(ValueError):
