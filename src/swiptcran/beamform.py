@@ -140,28 +140,26 @@ class BeamformerSet:
 class PowerReport:
     """Per-RRH power accounting; powers in watts, objective in milliwatts.
 
-    `feasible` is set only when the fields hold a solved (Optimal) point.
-    `status` says why it is not: `Infeasible` is certified (no feasible
+    The fields hold a solved point only when `status` is Optimal.  Otherwise
+    `status` says why not: `Infeasible` is certified (no feasible
     beamforming exists), while `MaxIterations` means the solver stopped
-    without converging and feasibility is unknown.  It defaults to the
-    status `feasible` implies.
+    without converging and feasibility is unknown.
     """
 
     p_op: np.ndarray
     p_pu: np.ndarray
     ranges: np.ndarray
     objective: float
-    feasible: bool
-    status: SdpStatus | None = None
+    status: SdpStatus = SdpStatus.OPTIMAL
 
     def __post_init__(self):
         for name in ("p_op", "p_pu", "ranges"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if self.status is None:
-            implied = SdpStatus.OPTIMAL if self.feasible else SdpStatus.INFEASIBLE
-            object.__setattr__(self, "status", implied)
-        if self.feasible != (self.status is SdpStatus.OPTIMAL):
-            raise ValueError("feasible must be set exactly when status is Optimal")
+
+    @property
+    def feasible(self) -> bool:
+        """True when the fields hold a solved (Optimal) point."""
+        return self.status is SdpStatus.OPTIMAL
 
 
 def _met_channel(channels, et_index: int) -> np.ndarray:
@@ -413,7 +411,7 @@ def power_report(source, params: SystemParams) -> PowerReport:
     p_pu = np.maximum(0.0, p_op - p_en)
     objective = MW_PER_W * float(params.beta * p_pu.sum() + params.gamma * p_op.sum())
     ranges = np.array([free_charge_range(p, params) for p in p_op])
-    return PowerReport(p_op=p_op, p_pu=p_pu, ranges=ranges, objective=objective, feasible=True)
+    return PowerReport(p_op=p_op, p_pu=p_pu, ranges=ranges, objective=objective)
 
 
 def unsolved_report(n_rrh: int, status: SdpStatus) -> PowerReport:
@@ -426,14 +424,8 @@ def unsolved_report(n_rrh: int, status: SdpStatus) -> PowerReport:
         p_pu=nan.copy(),
         ranges=nan.copy(),
         objective=float("nan"),
-        feasible=False,
         status=status,
     )
-
-
-def infeasible_report(n_rrh: int) -> PowerReport:
-    """Placeholder report for divisions whose SDP has no feasible point."""
-    return unsolved_report(n_rrh, SdpStatus.INFEASIBLE)
 
 
 def solve_division(

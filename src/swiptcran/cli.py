@@ -225,7 +225,9 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
                 q_training=config.q_training,
                 threshold=config.threshold,
                 params=config.params,
-                algorithm=config.training_algorithm,
+                algorithm=lambda instance: _run_algorithm(
+                    config.training_algorithm, config, instance
+                ),
                 options=config.solver,
             )
         except TrainingFailure as exc:

@@ -128,10 +128,7 @@ def parse_config_text(text: str) -> dict[str, object]:
     return out
 
 
-_SYSTEM_KEYS = {
-    "sinr_min", "p_amin", "p_fmin", "eta", "alpha_abs", "p_en",
-    "beta", "gamma", "noise_power",
-}
+_SYSTEM_KEYS = {f.name for f in fields(SystemParams)}
 _DBM_KEYS = {"p_amin", "p_fmin", "noise_power"}
 _TOPOLOGY_KEYS = {"n_rrh", "n_it", "n_et", "inter_rrh_distance"}
 _RUN_KEYS = {
@@ -142,7 +139,7 @@ _SWEEP_KEYS = {"param", "values"}
 _DIVISION_KEYS = {
     "poor_channel_factor", "boundary_band", "max_iters", "brute_force_cap",
 }
-_SOLVER_KEYS = {"tol_feas", "tol_gap", "tol_psd", "max_iters", "step_frac"}
+_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 def _float_tuple(key: str, value: object) -> tuple[float, ...]:

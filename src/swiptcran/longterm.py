@@ -133,7 +133,7 @@ def longterm_stage(
 
     Frozen FET channel columns are zeroed before each build: their floors
     are geometric, so results cannot depend on what those ETs would have
-    reported.  Unsolved slots yield NaN reports with `feasible` unset and
+    reported.  Unsolved slots yield NaN reports with `feasible` false and
     the solver's status (`Infeasible` or `MaxIterations`) in `status`.
     """
     if q_longterm < 0:

@@ -18,12 +18,12 @@ back through S^-1, which loses X's small eigenvalues to rounding once S is
 ill-conditioned near convergence.  Inequalities get slack variables and join the
 scalars in a nonnegative-orthant cone handled alongside the PSD blocks.
 
-Infeasibility path (homogeneous self-dual embedding is NOT used): the solver
-declares Infeasible either from (a) a Farkas ray certificate extracted from
-the normalized dual iterate, checked every iteration, or (b) the fallback
-heuristic: residuals stalled above tolerance for 20 consecutive iterations
-while the merit function (iterate trace norm plus dual objective magnitude)
-diverges.  Unbounded is the mirrored primal-ray condition.  The `detail`
+Statuses (homogeneous self-dual embedding is NOT used): every status other
+than Optimal is either certified or MaxIterations.  Infeasible comes only
+from a Farkas ray certificate extracted from the normalized dual iterate,
+Unbounded only from the mirrored primal-ray test, both checked every
+iteration.  A solve that neither converges nor certifies runs to `max_iters`
+(or stops on a numerical breakdown) and ends MaxIterations.  The `detail`
 field of the solution records which indicator fired.
 """
 
@@ -55,7 +55,6 @@ class SolverOptions:
     max_iters: int = 100
     # fraction of the distance to the cone boundary taken per step
     step_frac: float = 0.98
-    stall_window: int = 20
 
 
 def _clean_herm(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -364,22 +363,17 @@ def _solve_psd(m: np.ndarray, rhs: np.ndarray):
 
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
     """Solve the instance; see module docstring for the algorithm and the
-    infeasibility indicators.  Never returns a silently wrong answer: any
+    status indicators.  Never returns a silently wrong answer: any
     numerical breakdown surfaces as MaxIterations with diagnostics in
     `detail`, and residual fields always reflect the returned iterate.
     """
     opts = options or SolverOptions()
     std = _StdForm(problem, problem.validate())
-
-    if std.k_total == 0:
-        return _solve_unconstrained(problem, std, opts)
-
     it = _Iterate(std)
     nu = std.cone_dim
     detail = "iteration cap reached"
     status = SdpStatus.MAX_ITERATIONS
     n_iter = 0
-    hist = []
 
     def a_of(xs):
         out = np.zeros(std.k_total)
@@ -437,13 +431,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             )
             break
 
-        merit = cone_norm + abs(dobj)
-        hist.append((max(rel_p, rel_d), merit, dobj, pobj))
-        stall = _stall_classification(hist, opts)
-        if stall is not None:
-            status, detail = stall
-            break
-
         if n_iter == opts.max_iters:
             break
 
@@ -455,27 +442,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             break
 
     return _package(problem, std, it, status, n_iter, rel_p, rel_d, gap, detail, opts)
-
-
-def _stall_classification(hist, opts):
-    w = opts.stall_window
-    if len(hist) < w:
-        return None
-    res0, merit0, dobj0, pobj0 = hist[-w]
-    res1, merit1, dobj1, pobj1 = hist[-1]
-    window = hist[-w:]
-    stalled = min(h[0] for h in window) > opts.tol_feas and res1 > 0.5 * res0
-    diverging = merit1 > 10.0 * (merit0 + 1.0)
-    if not (stalled and diverging):
-        return None
-    why = (
-        f"residuals stalled above tolerance for {w} iterations "
-        f"({res0:.2e} -> {res1:.2e}) while the merit function diverged "
-        f"({merit0:.2e} -> {merit1:.2e})"
-    )
-    if pobj1 < -(10.0 * abs(pobj0) + 1.0) and pobj1 < 0:
-        return SdpStatus.UNBOUNDED, why
-    return SdpStatus.INFEASIBLE, why
 
 
 def _infeasibility_certificate(std: _StdForm, it: _Iterate):
@@ -589,27 +555,6 @@ def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
         ap *= 0.5
         ad *= 0.5
     return "step could not maintain cone interiority"
-
-
-def _solve_unconstrained(problem, std, opts):
-    """No constraints: optimum is 0 at the origin iff all costs are PSD/nonneg."""
-    neg = 0.0
-    for g in std.groups:
-        if g.C.size:
-            neg = min(neg, float(np.linalg.eigvalsh(g.C).min()))
-    if std.n_u:
-        neg = min(neg, float(np.min(std.c_u)))
-    blocks = [np.zeros((d, d), dtype=np.complex128) for d in std.dims]
-    scal = np.zeros(std.n_scalars)
-    if neg < -1e-12:
-        return SdpSolution(
-            blocks, scal, -math.inf, SdpStatus.UNBOUNDED, 0.0, 0.0, 0.0, 0,
-            "no constraints and a cost direction with negative eigenvalue",
-        )
-    return SdpSolution(
-        blocks, scal, 0.0, SdpStatus.OPTIMAL, 0.0, 0.0, 0.0, 0,
-        "no constraints; origin is optimal",
-    )
 
 
 def _package(problem, std, it, status, n_iter, rel_p, rel_d, gap, detail, opts):

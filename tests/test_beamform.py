@@ -14,7 +14,6 @@ from swiptcran.beamform import (
     compute_sinr,
     fet_harvest,
     free_charge_range,
-    infeasible_report,
     initial_green_range,
     met_harvest,
     power_report,
@@ -390,7 +389,7 @@ class TestPowerAccounting:
             power_report(object(), PARAMS)
 
     def test_infeasible_report_shape(self):
-        report = infeasible_report(3)
+        report = unsolved_report(3, SdpStatus.INFEASIBLE)
         assert not report.feasible
         for arr in (report.p_op, report.p_pu, report.ranges):
             assert arr.shape == (3,)
@@ -404,9 +403,11 @@ class TestPowerAccounting:
         assert report.status is SdpStatus.MAX_ITERATIONS
         with pytest.raises(ValueError):
             unsolved_report(3, SdpStatus.OPTIMAL)
+
+    def test_feasible_reads_status(self):
         z = np.zeros(3)
-        with pytest.raises(ValueError):
-            PowerReport(z, z, z, 1.0, feasible=True, status=SdpStatus.MAX_ITERATIONS)
+        assert PowerReport(z, z, z, 1.0).feasible
+        assert not PowerReport(z, z, z, 1.0, SdpStatus.MAX_ITERATIONS).feasible
 
 
 class TestLinkMetrics:

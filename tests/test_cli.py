@@ -252,6 +252,28 @@ class TestLongterm:
         assert rows[0]["status"] == "MaxIterations"
         assert rows[0]["termination"] == "NotConverged"
 
+    def test_division_keys_reach_training(self):
+        base = {
+            "run.mode": "longterm",
+            "run.n_trials": 3,
+            "topology.n_it": 3,
+            "run.q_training": 4,
+            "run.q_longterm": 2,
+        }
+        division_keys = {
+            "division.max_iters": 1,
+            "division.boundary_band": 0.0,
+            "division.poor_channel_factor": 0.0,
+        }
+
+        def training_masks(overrides):
+            rows, _ = cli.run_longterm(load_config(None, overrides))
+            return [r["division_bitmask"] for r in rows if r["stage"] == "training"]
+
+        default = training_masks(base)
+        assert len(default) == 3
+        assert training_masks({**base, **division_keys}) != default
+
 
 class TestValidateExitCodes:
     def test_all_passing_returns_zero(self, monkeypatch, capsys):

@@ -1,7 +1,10 @@
 """Tests for config parsing, dBm handling, validation, and hashing."""
 
+from dataclasses import fields
+
 import pytest
 
+from swiptcran.beamform import SystemParams
 from swiptcran.config import (
     ConfigError,
     ExperimentConfig,
@@ -10,6 +13,7 @@ from swiptcran.config import (
     load_config,
     parse_config_text,
 )
+from swiptcran.sdp import SolverOptions
 
 
 class TestParseConfigText:
@@ -120,6 +124,21 @@ class TestBuildConfig:
         cfg = build_config({"solver.tol_feas": 1e-9, "solver.max_iters": 64})
         assert cfg.solver.tol_feas == 1e-9
         assert cfg.solver.max_iters == 64
+
+    @pytest.mark.parametrize(
+        "section, attr, cls",
+        [("system", "params", SystemParams), ("solver", "solver", SolverOptions)],
+    )
+    def test_every_field_is_a_key_of_its_section(self, section, attr, cls):
+        def moved(value):
+            if isinstance(value, tuple):
+                return tuple(0.9 * v for v in value)
+            return value + 1 if isinstance(value, int) else 0.9 * value
+
+        given = {f.name: moved(getattr(cls(), f.name)) for f in fields(cls)}
+        cfg = build_config({f"{section}.{name}": v for name, v in given.items()})
+        resolved = getattr(cfg, attr)
+        assert {name: getattr(resolved, name) for name in given} == given
 
     def test_sweep_param_whitelist(self):
         with pytest.raises(ConfigError, match="sweep"):

@@ -10,7 +10,6 @@ from swiptcran.beamform import (
     GroupDivision,
     PowerReport,
     SystemParams,
-    infeasible_report,
     solve_division,
 )
 import swiptcran.division as division_module
@@ -51,7 +50,7 @@ def _instance(seed: int, n_it: int = 3, n_et: int = 7, options=None) -> Instance
 
 def _fake_report(objective: float) -> PowerReport:
     z = np.zeros(3)
-    return PowerReport(p_op=z, p_pu=z, ranges=z, objective=objective, feasible=True)
+    return PowerReport(p_op=z, p_pu=z, ranges=z, objective=objective)
 
 
 def _scripted(transitions: dict, objectives: dict):

@@ -24,7 +24,7 @@ PARAMS = SystemParams()
 
 def _feasible_result(division: GroupDivision) -> DivisionRunResult:
     z = np.zeros(3)
-    report = PowerReport(p_op=z, p_pu=z, ranges=z, objective=1.0, feasible=True)
+    report = PowerReport(p_op=z, p_pu=z, ranges=z, objective=1.0)
     return DivisionRunResult(
         final_division=division,
         report=report,
@@ -35,8 +35,7 @@ def _feasible_result(division: GroupDivision) -> DivisionRunResult:
 
 
 def _infeasible_result(n_et: int) -> DivisionRunResult:
-    nan = np.full(3, np.nan)
-    report = PowerReport(p_op=nan, p_pu=nan, ranges=nan, objective=float("nan"), feasible=False)
+    report = unsolved_report(3, SdpStatus.INFEASIBLE)
     division = GroupDivision.all_met(n_et)
     return DivisionRunResult(
         final_division=division,

@@ -97,6 +97,18 @@ class TestClosedForms:
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(0.0, abs=1e-7)
 
+    def test_unconstrained_indefinite_cost_is_unbounded(self):
+        problem = SdpProblem(
+            block_dims=(2,),
+            n_scalars=0,
+            obj_blocks={0: np.diag([1.0, -1.0]).astype(complex)},
+            obj_scalars={},
+            constraints=(),
+        )
+        sol = solve(problem)
+        assert sol.status is SdpStatus.UNBOUNDED
+        assert "primal feasible ray" in sol.detail
+
 
 class TestStatusDetection:
     def test_contradictory_trace_bounds_infeasible(self):
