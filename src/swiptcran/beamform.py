@@ -76,42 +76,39 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class GroupDivision:
-    """Partition of ET indices into CSI-assisted (MET) and free (FET) sets."""
+    """Division of ETs 0..n_et-1: `fet_set` holds the free (FET) ones and
+    every other ET is CSI-assisted (MET)."""
 
-    met_set: frozenset[int] = field(default_factory=frozenset)
+    n_et: int
     fet_set: frozenset[int] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "met_set", frozenset(int(e) for e in self.met_set))
         object.__setattr__(self, "fet_set", frozenset(int(e) for e in self.fet_set))
-        if self.met_set & self.fet_set:
-            raise ValueError("met_set and fet_set must be disjoint")
-        if any(e < 0 for e in self.met_set | self.fet_set):
-            raise ValueError("ET indices must be nonnegative")
+        if self.n_et < 0 or not self.fet_set <= set(range(self.n_et)):
+            raise ValueError(f"fet_set must be a subset of range({self.n_et})")
 
     @property
-    def n_et(self) -> int:
-        return len(self.met_set) + len(self.fet_set)
+    def met_set(self) -> frozenset[int]:
+        return frozenset(range(self.n_et)) - self.fet_set
 
     def validate_for(self, n_et: int) -> None:
-        if self.met_set | self.fet_set != set(range(n_et)):
-            raise ValueError(f"division does not partition {n_et} ET indices")
+        if self.n_et != n_et:
+            raise ValueError(f"division covers {self.n_et} ETs, not {n_et}")
 
     @classmethod
     def all_met(cls, n_et: int) -> "GroupDivision":
-        return cls(met_set=frozenset(range(n_et)))
+        return cls(n_et)
 
     @classmethod
     def all_fet(cls, n_et: int) -> "GroupDivision":
-        return cls(fet_set=frozenset(range(n_et)))
+        return cls(n_et, frozenset(range(n_et)))
 
     @classmethod
     def from_bitmask(cls, mask: int, n_et: int) -> "GroupDivision":
         """Bit e set means ET e is free (FET)."""
         if not 0 <= mask < (1 << n_et):
             raise ValueError("bitmask out of range")
-        fet = frozenset(e for e in range(n_et) if mask >> e & 1)
-        return cls(met_set=frozenset(range(n_et)) - fet, fet_set=fet)
+        return cls(n_et, frozenset(e for e in range(n_et) if mask >> e & 1))
 
     def to_bitmask(self) -> int:
         return sum(1 << e for e in self.fet_set)

@@ -17,11 +17,15 @@ from .division import (
     MAX_DIVISION_ITERS,
     POOR_CHANNEL_FACTOR,
 )
-from .longterm import DIVISION_THRESHOLD, Q_TRAINING
+from .longterm import ALGORITHMS, DIVISION_THRESHOLD, Q_TRAINING
 from .sdp import SolverOptions
 
 MODES = ("single-slot", "sweep", "longterm", "validate")
 ALGORITHM_CHOICES = ("alg1", "alg2", "all-fet", "all-met", "brute")
+_COUNT_FIELDS = (
+    "n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm",
+    "max_division_iters", "brute_force_cap",
+)
 
 
 class ConfigError(ValueError):
@@ -58,6 +62,10 @@ class ExperimentConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for a in self.algorithms:
@@ -65,6 +73,8 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown algorithm {a!r}; choices {ALGORITHM_CHOICES}")
         if self.n_rrh < 1 or self.n_it < 1 or self.n_et < 0:
             raise ConfigError("topology counts out of range")
+        if not self.inter_rrh_distance > 0:
+            raise ConfigError("topology.inter_rrh_distance must be positive")
         if len(self.params.p_en) != self.n_rrh:
             raise ConfigError("system.p_en length must equal topology.n_rrh")
         if self.n_trials < 1:
@@ -81,8 +91,12 @@ class ExperimentConfig:
             raise ConfigError("sweep.values must be nonempty")
         if self.q_training < 1 or self.q_longterm < 0:
             raise ConfigError("longterm slot counts out of range")
-        if self.training_algorithm not in ("alg1", "alg2"):
-            raise ConfigError("run.training_algorithm must be alg1 or alg2")
+        if not 0 <= self.threshold <= 1:
+            raise ConfigError("run.threshold must lie in [0, 1]")
+        if self.training_algorithm not in ALGORITHMS:
+            raise ConfigError(f"run.training_algorithm must be one of {sorted(ALGORITHMS)}")
+        if self.max_division_iters < 1:
+            raise ConfigError("division.max_iters must be at least 1")
 
     def config_hash(self) -> str:
         """Stable digest of every resolved setting; stamped on each CSV row."""

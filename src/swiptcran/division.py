@@ -50,24 +50,6 @@ class Termination(str, Enum):
         return cls.INFEASIBLE if status is SdpStatus.INFEASIBLE else cls.NOT_CONVERGED
 
 
-class InfeasibleDivision(RuntimeError):
-    """The SDP under the requested division has no feasible point."""
-
-    status = SdpStatus.INFEASIBLE
-
-
-class UnsolvedDivision(RuntimeError):
-    """The SDP under the requested division stopped without converging.
-
-    Unlike `InfeasibleDivision` this says nothing about feasibility; `status`
-    holds the solver's non-Optimal, non-Infeasible status.
-    """
-
-    def __init__(self, message: str, status: SdpStatus):
-        super().__init__(message)
-        self.status = status
-
-
 @dataclass(frozen=True)
 class DivisionRunResult:
     """Outcome of one division search.
@@ -124,11 +106,12 @@ def _assigned_distance(topology, et_index: int) -> tuple[int, float]:
 
 def _classify_by_ranges(topology, ranges) -> GroupDivision:
     """FET iff the assigned-RRH distance falls inside that RRH's range."""
-    met, fet = set(), set()
+    fet = set()
     for j in range(topology.n_et):
         n, d = _assigned_distance(topology, j)
-        (fet if d <= ranges[n] else met).add(j)
-    return GroupDivision(met_set=frozenset(met), fet_set=frozenset(fet))
+        if d <= ranges[n]:
+            fet.add(j)
+    return GroupDivision(topology.n_et, fet)
 
 
 def channel_check(
@@ -144,14 +127,13 @@ def channel_check(
     realized gain falls under `poor_channel_factor` times that are moved to
     the FET set, where only geometry matters.
     """
-    met, fet = set(division.met_set), set(division.fet_set)
+    fet = set(division.fet_set)
     for j in sorted(division.met_set):
         n, d = _assigned_distance(topology, j)
         gain = abs(channels.h_et[n, j]) ** 2
         if gain < poor_channel_factor * d ** (-params.alpha_abs):
-            met.remove(j)
             fet.add(j)
-    return GroupDivision(met_set=frozenset(met), fet_set=frozenset(fet))
+    return GroupDivision(division.n_et, fet)
 
 
 def boundary_refine(
@@ -168,13 +150,13 @@ def boundary_refine(
     optimality (infeasible, or not converged) the current one is kept.
     """
     topology = instance.topology
-    met, fet = set(division.met_set), set(division.fet_set)
+    fet = set(division.fet_set)
     for j in range(topology.n_et):
         n, d = _assigned_distance(topology, j)
         if not abs(d - ranges[n]) < boundary_band * ranges[n]:
             continue
-        as_met = GroupDivision(frozenset(met | {j}), frozenset(fet - {j}))
-        as_fet = GroupDivision(frozenset(met - {j}), frozenset(fet | {j}))
+        as_met = GroupDivision(division.n_et, fet - {j})
+        as_fet = GroupDivision(division.n_et, fet | {j})
         rep_met, _ = instance.evaluate(as_met)
         rep_fet, _ = instance.evaluate(as_fet)
         if not rep_met.feasible and not rep_fet.feasible:
@@ -185,34 +167,27 @@ def boundary_refine(
             _log.warning("boundary ET %d %s; keeping assignment", j, why)
             continue
         if rep_fet.feasible and (not rep_met.feasible or rep_fet.objective <= rep_met.objective):
-            met.discard(j)
             fet.add(j)
         else:
             fet.discard(j)
-            met.add(j)
-    return GroupDivision(met_set=frozenset(met), fet_set=frozenset(fet))
+    return GroupDivision(division.n_et, fet)
 
 
 def update_division(
     instance: Instance,
     prev: GroupDivision,
     boundary_band: float = BOUNDARY_BAND,
-) -> tuple[GroupDivision, PowerReport]:
+) -> tuple[GroupDivision | None, PowerReport]:
     """One division update round.
 
     Evaluates `prev`, reclassifies every ET against the resulting free charge
     ranges, refines boundary terminals, and returns the new division
-    together with the report of `prev`.  Raises `InfeasibleDivision` only
-    for a certified infeasible solve and `UnsolvedDivision` for one that did
-    not converge.
+    together with the report of `prev`.  When `prev` does not solve the new
+    division is None and the report carries the solver's status.
     """
     report, _ = instance.evaluate(prev)
-    if report.status is SdpStatus.INFEASIBLE:
-        raise InfeasibleDivision(f"division {prev} admits no feasible beamforming")
     if not report.feasible:
-        raise UnsolvedDivision(
-            f"division {prev}: solver ended with {report.status.value}", report.status
-        )
+        return None, report
     division = _classify_by_ranges(instance.topology, report.ranges)
     division = boundary_refine(instance, division, report.ranges, boundary_band)
     return division, report
@@ -237,60 +212,41 @@ def _single_result(
     return DivisionRunResult(division, report, 1, history, termination)
 
 
-def _iterate(initial: GroupDivision, update_fn, max_iters: int, n_rrh: int) -> DivisionRunResult:
+def _iterate(initial: GroupDivision, update_fn, max_iters: int) -> DivisionRunResult:
     """Drive `update_fn` to a fixed point, cycle, infeasibility, or the cap.
 
     A division that fails to solve mid-run reverts to the last solved round:
     an infeasible one ends as InfeasibleReverted, a non-converged one as
     NotConverged.  A failure in the first round has nothing to revert to and
-    returns a NaN report with the solver's status.
+    returns that round's NaN report with the solver's status.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     rounds: list[tuple[GroupDivision, PowerReport]] = []
+
+    def result(group, report, termination, *terminal_repeat) -> DivisionRunResult:
+        history = tuple((g, r.objective) for g, r in rounds) + terminal_repeat
+        return DivisionRunResult(group, report, len(rounds), history, termination)
+
     group = initial
     for _ in range(max_iters):
-        try:
-            nxt, report = update_fn(group)
-        except (InfeasibleDivision, UnsolvedDivision) as exc:
-            status = exc.status
+        nxt, report = update_fn(group)
+        if not report.feasible:
             if not rounds:
-                return _single_result(group, unsolved_report(n_rrh, status))
-            termination = (
-                Termination.INFEASIBLE_REVERTED
-                if status is SdpStatus.INFEASIBLE
-                else Termination.NOT_CONVERGED
-            )
-            last_group, last_report = rounds[-1]
-            return DivisionRunResult(
-                final_division=last_group,
-                report=last_report,
-                iterations=len(rounds),
-                history=tuple((g, r.objective) for g, r in rounds),
-                termination=termination,
-            )
+                return _single_result(group, report)
+            if report.status is SdpStatus.INFEASIBLE:
+                return result(*rounds[-1], Termination.INFEASIBLE_REVERTED)
+            return result(*rounds[-1], Termination.NOT_CONVERGED)
         rounds.append((group, report))
         if nxt == group:
-            history = tuple((g, r.objective) for g, r in rounds) + ((group, report.objective),)
-            return DivisionRunResult(group, report, len(rounds), history, Termination.FIXED_POINT)
+            return result(group, report, Termination.FIXED_POINT, (group, report.objective))
         seen = [g for g, _ in rounds]
         if nxt in seen:
             start = seen.index(nxt)
-            cycle = rounds[start:]
-            best_group, best_report = min(cycle, key=lambda gr: gr[1].objective)
-            history = tuple((g, r.objective) for g, r in rounds) + (
-                (nxt, rounds[start][1].objective),
-            )
-            return DivisionRunResult(
-                best_group, best_report, len(rounds), history, Termination.CYCLE_BROKEN
-            )
+            best = min(rounds[start:], key=lambda gr: gr[1].objective)
+            return result(*best, Termination.CYCLE_BROKEN, (nxt, rounds[start][1].objective))
         group = nxt
-    last_group, last_report = rounds[-1]
-    return DivisionRunResult(
-        final_division=last_group,
-        report=last_report,
-        iterations=len(rounds),
-        history=tuple((g, r.objective) for g, r in rounds),
-        termination=Termination.ITERATION_CAP,
-    )
+    return result(*rounds[-1], Termination.ITERATION_CAP)
 
 
 def _run_iterative(
@@ -307,7 +263,7 @@ def _run_iterative(
     def update(prev: GroupDivision):
         return update_division(instance, prev, boundary_band)
 
-    return _iterate(start, update, max_division_iters, instance.topology.n_rrh)
+    return _iterate(start, update, max_division_iters)
 
 
 def algorithm1(
@@ -333,13 +289,7 @@ def algorithm2(
     max_division_iters: int = MAX_DIVISION_ITERS,
 ) -> DivisionRunResult:
     """Iterative division seeded by each RRH's green-energy-only range."""
-    topology = instance.topology
-    green = initial_green_range(instance.params)
-    met, fet = set(), set()
-    for j in range(topology.n_et):
-        n, d = _assigned_distance(topology, j)
-        (fet if d <= green[n] else met).add(j)
-    initial = GroupDivision(met_set=frozenset(met), fet_set=frozenset(fet))
+    initial = _classify_by_ranges(instance.topology, initial_green_range(instance.params))
     return _run_iterative(
         instance, initial, poor_channel_factor, boundary_band, max_division_iters
     )

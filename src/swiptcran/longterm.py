@@ -116,8 +116,8 @@ def training_stage(
         )
 
     frequency = counts / q_training
-    fet = frozenset(int(j) for j in range(topology.n_et) if frequency[j] >= threshold)
-    frozen = GroupDivision(met_set=frozenset(range(topology.n_et)) - fet, fet_set=fet)
+    fet = frozenset(j for j in range(topology.n_et) if frequency[j] >= threshold)
+    frozen = GroupDivision(topology.n_et, fet)
     return TrainingResult(fet_frequency=frequency, frozen_division=frozen, slots_used=slots_used)
 
 

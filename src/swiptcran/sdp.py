@@ -56,6 +56,16 @@ class SolverOptions:
     # fraction of the distance to the cone boundary taken per step
     step_frac: float = 0.98
 
+    def __post_init__(self):
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
+            raise TypeError(f"max_iters must be an int, got {self.max_iters!r}")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
+        if not min(self.tol_feas, self.tol_gap, self.tol_psd) > 0:
+            raise ValueError("solver tolerances must be positive")
+        if not 0 < self.step_frac < 1:
+            raise ValueError("step_frac must lie in (0, 1)")
+
 
 def _clean_herm(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
     a = np.asarray(mat, dtype=np.complex128)

@@ -80,16 +80,17 @@ class TestGroupDivision:
         assert fet.fet_set == frozenset(range(4)) and not fet.met_set
         assert met.n_et == fet.n_et == 4
 
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            GroupDivision(met_set=frozenset({0, 1}), fet_set=frozenset({1}))
-
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            GroupDivision(met_set=frozenset({-1}))
+            GroupDivision(3, frozenset({-1}))
+
+    def test_rejects_index_beyond_n_et(self):
+        with pytest.raises(ValueError):
+            GroupDivision(3, frozenset({3}))
 
     def test_validate_for_requires_partition(self):
-        div = GroupDivision(met_set=frozenset({0, 2}), fet_set=frozenset({1}))
+        div = GroupDivision(3, frozenset({1}))
+        assert div.met_set == frozenset({0, 2})
         div.validate_for(3)
         with pytest.raises(ValueError):
             div.validate_for(4)
@@ -185,7 +186,7 @@ class TestBuildSdp:
             np.testing.assert_allclose(con.blocks[0], expected)
 
     def test_fet_channel_columns_never_read(self):
-        division = GroupDivision(met_set=frozenset({0, 2}), fet_set=frozenset({1, 3, 4, 5, 6}))
+        division = GroupDivision(7, frozenset({1, 3, 4, 5, 6}))
         topo = generate_topology(seed=4, n_rrh=3, n_it=4, n_et=7)
         ch = draw_channels(topo, seed=4, slot=0)
         h_et = ch.h_et.copy()

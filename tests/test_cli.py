@@ -132,6 +132,17 @@ class TestMainSingleSlot:
         path.write_text("run.warp_speed = 9\n", encoding="utf-8")
         assert main(["single-slot", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "line", ["solver.max_iters = -1", "division.max_iters = 0", "run.threshold = 1.5"]
+    )
+    def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.conf"
+        path.write_text(f"topology.n_it = 3\nrun.n_trials = 1\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["longterm", "--config", str(path), "--out", str(out)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestWriteRows:
     def _rows(self, config):

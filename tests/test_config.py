@@ -13,6 +13,7 @@ from swiptcran.config import (
     load_config,
     parse_config_text,
 )
+from swiptcran.longterm import ALGORITHMS
 from swiptcran.sdp import SolverOptions
 
 
@@ -164,6 +165,30 @@ class TestBuildConfig:
             build_config({"topology.n_it": 0})
         with pytest.raises(ConfigError, match="seed"):
             build_config({"run.seed": -1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("solver.max_iters", -1),
+            ("solver.max_iters", 2.5),
+            ("solver.tol_gap", 0.0),
+            ("solver.step_frac", 1.0),
+            ("division.max_iters", 0),
+            ("run.n_trials", 2.5),
+            ("run.q_longterm", 2.5),
+            ("run.threshold", 1.5),
+            ("topology.inter_rrh_distance", -1),
+        ],
+    )
+    def test_values_that_would_fail_mid_run_are_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            build_config({key: value})
+
+    def test_training_algorithm_names_come_from_longterm(self):
+        for name in ALGORITHMS:
+            assert build_config({"run.training_algorithm": name}).training_algorithm == name
+        with pytest.raises(ConfigError, match="training_algorithm"):
+            build_config({"run.training_algorithm": "all-met"})
 
 
 class TestConfigHash:

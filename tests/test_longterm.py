@@ -71,7 +71,7 @@ class TestMaskFetChannels:
     def test_zeroes_only_fet_columns(self):
         topo = generate_topology(seed=2, n_rrh=3, n_it=2, n_et=4)
         ch = draw_channels(topo, seed=2, slot=0)
-        division = GroupDivision(met_set=frozenset({0, 2}), fet_set=frozenset({1, 3}))
+        division = GroupDivision(4, frozenset({1, 3}))
         masked = mask_fet_channels(ch, division)
         np.testing.assert_array_equal(masked.h_id, ch.h_id)
         np.testing.assert_array_equal(masked.h_et[:, [0, 2]], ch.h_et[:, [0, 2]])
@@ -86,7 +86,7 @@ class TestTrainingStage:
 
     def test_frequency_uses_training_length_as_denominator(self):
         topo = self._topology(n_et=2)
-        fet0 = GroupDivision(met_set=frozenset({1}), fet_set=frozenset({0}))
+        fet0 = GroupDivision(2, frozenset({0}))
         none_fet = GroupDivision.all_met(2)
         outcomes = [_feasible_result(fet0)] * 5 + [_feasible_result(none_fet)] * 3
         outcomes += [_infeasible_result(2)] * 2
@@ -189,7 +189,7 @@ class TestLongtermStage:
 
     def test_slot_count_and_determinism(self):
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
-        division = GroupDivision(met_set=frozenset({0, 2}), fet_set=frozenset({1, 3}))
+        division = GroupDivision(4, frozenset({1, 3}))
         a = longterm_stage(topo, seed=4, division=division, q_longterm=3)
         b = longterm_stage(topo, seed=4, division=division, q_longterm=3)
         assert len(a) == 3
@@ -212,7 +212,7 @@ class TestLongtermStage:
     def test_fet_reports_cannot_influence_results(self):
         # garbling what a silent terminal would have reported changes nothing
         topo = generate_topology(seed=11, n_rrh=3, n_it=3, n_et=5)
-        division = GroupDivision(met_set=frozenset({0, 2, 4}), fet_set=frozenset({1, 3}))
+        division = GroupDivision(5, frozenset({1, 3}))
         ch = draw_channels(topo, seed=7, slot=0)
         h_et = ch.h_et.copy()
         h_et[:, [1, 3]] = 1e6 * (1.0 + 1.0j)
@@ -227,7 +227,7 @@ class TestLongtermStage:
     def test_frozen_fet_floor_still_binds(self):
         # every feasible slot must keep each frozen FET inside its RRH's range
         topo = generate_topology(seed=11, n_rrh=3, n_it=3, n_et=5)
-        division = GroupDivision(met_set=frozenset({0, 2, 4}), fet_set=frozenset({1, 3}))
+        division = GroupDivision(5, frozenset({1, 3}))
         reports = longterm_stage(topo, seed=4, division=division, q_longterm=3)
         for report in reports:
             if not report.feasible:

@@ -175,7 +175,7 @@ class TestTailConvergence:
         opts = SolverOptions()
         objectives = []
         for division in (
-            GroupDivision(met_set=frozenset({0, 1, 3, 4, 5, 6}), fet_set=frozenset({2})),
+            GroupDivision(7, frozenset({2})),
             GroupDivision.all_fet(7),
         ):
             problem = build_sdp(topo, ch, division, SystemParams())
