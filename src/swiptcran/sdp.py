@@ -18,6 +18,17 @@ back through S^-1, which loses X's small eigenvalues to rounding once S is
 ill-conditioned near convergence.  Inequalities get slack variables and join the
 scalars in a nonnegative-orthant cone handled alongside the PSD blocks.
 
+The solver is bound by per-call overhead, not by flops, so an iteration makes
+as few NumPy calls as it can.  The blocks of one embedded dimension form a
+group, and X and S of a group are stacked: the interiority test factors the
+stack (X, S) once, and that Cholesky factor gives S^-1 and all four
+step-length tests of the next iteration.  The Schur matrix is factored once
+per iteration and serves the predictor and the corrector.  No contraction is
+planned at run time: the Schur contraction is written as the matmuls einsum's
+planner picks for it, and the other einsum calls run unplanned.  These forms
+are fixed on purpose.  A contraction reordered, even into one equal in exact
+arithmetic, rounds differently and moves the iterates.
+
 Statuses (homogeneous self-dual embedding is NOT used): every status other
 than Optimal is either certified or MaxIterations.  Infeasible comes only
 from a Farkas ray certificate extracted from the normalized dual iterate,
@@ -180,8 +191,12 @@ class VerifyReport:
 
 def _embed(h: np.ndarray) -> np.ndarray:
     """m x m Hermitian -> 2m x 2m real symmetric [[P, -Q], [Q, P]]."""
-    p, q = h.real, h.imag
-    return np.block([[p, -q], [q, p]])
+    m = h.shape[0]
+    out = np.empty((2 * m, 2 * m))
+    out[:m, :m] = out[m:, m:] = h.real
+    out[:m, m:] = -h.imag
+    out[m:, :m] = h.imag
+    return out
 
 
 def _unembed(x: np.ndarray) -> np.ndarray:
@@ -294,42 +309,47 @@ def _sym(a):
     return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
-def _max_step(xs: np.ndarray, dxs: np.ndarray) -> float:
-    """Largest a with X + a dX PSD for every stacked block; inf if unbounded."""
-    try:
-        ell = np.linalg.cholesky(xs)
-    except np.linalg.LinAlgError:
-        # iterate grazed the cone boundary through rounding; force backtracking
-        return 0.0
-    y = np.linalg.solve(ell, dxs)
-    y = np.linalg.solve(ell, np.swapaxes(y, -1, -2))
+def _max_steps(chol: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+    """Largest a with X + a dX PSD, and with S + a dS PSD; inf if unbounded.
+
+    `chol` is the Cholesky factor of one group's stack (X, S) and `d` the
+    matching stack (dX, dS); the two halves share one chain of calls.
+    """
+    y = np.linalg.solve(chol, d)
+    y = np.linalg.solve(chol, np.swapaxes(y, -1, -2))
     lam = np.linalg.eigvalsh(_sym(y))
-    worst = float(lam.min())
-    if worst >= -1e-14:
-        return math.inf
-    return 1.0 / (-worst)
+    half = len(lam) // 2
+    worst = (float(lam[:half].min()), float(lam[half:].min()))
+    return tuple(math.inf if w >= -1e-14 else 1.0 / (-w) for w in worst)
 
 
-def _in_cone(stacks, vec) -> bool:
-    """Strict interiority check: every block Cholesky-factors, vec positive."""
+def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
+    """Largest a with v + a dv >= 0 on each half of v = (u, z); inf if unbounded."""
+    ratio = np.divide(v, -dv, out=np.full_like(v, np.inf), where=dv < 0)
+    half = len(v) // 2
+    return float(ratio[:half].min(initial=np.inf)), float(ratio[half:].min(initial=np.inf))
+
+
+def _cone_factors(stacks, vecs):
+    """Strict interiority check: the Cholesky factor of every block stack if
+    each factors and every entry of `vecs` is positive, else None."""
+    factors = []
     for st in stacks:
         if not np.all(np.isfinite(st)):
-            return False
+            return None
         try:
-            np.linalg.cholesky(st)
+            factors.append(np.linalg.cholesky(st))
         except np.linalg.LinAlgError:
-            return False
-    return vec.size == 0 or (np.all(np.isfinite(vec)) and float(vec.min()) > 0.0)
-
-
-def _max_step_vec(u: np.ndarray, du: np.ndarray) -> float:
-    neg = du < 0
-    if not np.any(neg):
-        return math.inf
-    return float(np.min(u[neg] / (-du[neg])))
+            return None
+    for vec in vecs:
+        if vec.size and not (np.all(np.isfinite(vec)) and float(vec.min()) > 0.0):
+            return None
+    return factors
 
 
 class _Iterate:
+    """Primal-dual point; `chol[g]` is the Cholesky factor of group g's stack (X, S)."""
+
     def __init__(self, std: _StdForm):
         self.X = []
         self.S = []
@@ -354,18 +374,17 @@ class _Iterate:
         self.u = np.full(std.n_u, max(10.0, ru))
         self.z = np.full(std.n_u, max(10.0, float(np.max(np.abs(std.c_u))) if std.n_u else 0.0))
         self.y = np.zeros(std.k_total)
+        self.chol = [np.linalg.cholesky(np.concatenate((x, s))) for x, s in zip(self.X, self.S)]
 
 
-def _solve_psd(m: np.ndarray, rhs: np.ndarray):
-    """Cholesky solve with escalating jitter; returns None on breakdown."""
+def _factor_psd(m: np.ndarray):
+    """Cholesky factor with escalating jitter; returns None on breakdown."""
     k = m.shape[0]
     jitter = 0.0
     base = max(float(np.trace(m)) / max(k, 1), 1.0)
     for attempt in range(4):
         try:
-            ell = np.linalg.cholesky(m + jitter * np.eye(k))
-            w = np.linalg.solve(ell, rhs)
-            return np.linalg.solve(ell.T, w)
+            return np.linalg.cholesky(m + jitter * np.eye(k))
         except np.linalg.LinAlgError:
             jitter = base * (1e-13 if attempt == 0 else jitter / base * 1e3)
     return None
@@ -384,6 +403,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     detail = "iteration cap reached"
     status = SdpStatus.MAX_ITERATIONS
     n_iter = 0
+    r_norm = float(np.linalg.norm(std.r))
 
     def a_of(xs):
         out = np.zeros(std.k_total)
@@ -402,7 +422,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
         dobj = float(std.r @ it.y)
         comp = sum(float(np.einsum("bij,bij->", x, s)) for x, s in zip(it.X, it.S))
         comp += float(it.u @ it.z)
-        rel_p = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(std.r)))
+        rel_p = float(np.linalg.norm(rp)) / (1.0 + r_norm)
         # cost data has unit norm after objective normalization, so the
         # relative dual residual denominator 1 + |C| is exactly 2
         rel_d = math.sqrt(
@@ -430,7 +450,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             np.sum(it.u)
         )
         if (
-            cone_norm > 1e9 * (1.0 + float(np.linalg.norm(std.r)))
+            cone_norm > 1e9 * (1.0 + r_norm)
             and pobj / cone_norm <= -1e-10
             and float(np.linalg.norm(rp)) / cone_norm <= 1e-9
         ):
@@ -482,20 +502,23 @@ def _infeasibility_certificate(std: _StdForm, it: _Iterate):
 
 def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
     """One Mehrotra predictor-corrector step; returns an error string on breakdown."""
-    try:
-        sinvs, ms = [], np.zeros((std.k_total, std.k_total))
-        for g, s in zip(std.groups, it.S):
-            ell = np.linalg.cholesky(s)
-            linv = np.linalg.solve(ell, np.broadcast_to(np.eye(g.dim), s.shape).copy())
-            sinvs.append(_sym(np.swapaxes(linv, -1, -2) @ linv))
-        for g, x, sinv in zip(std.groups, it.X, sinvs):
-            t = np.einsum("bpq,kbqr,brs->kbps", x, g.A, sinv, optimize=True)
-            ms += np.einsum("kbps,lbsp->kl", t, g.A, optimize=True)
-        d = it.u / it.z
-        ms += (std.G * d) @ std.G.T
-        ms = (ms + ms.T) / 2.0
-    except np.linalg.LinAlgError:
-        return "cone block factorization failed"
+    k_total = std.k_total
+    sinvs, ms = [], np.zeros((k_total, k_total))
+    for g, x, chol in zip(std.groups, it.X, it.chol):
+        chol_s = chol[len(x):]
+        linv = np.linalg.solve(chol_s, np.broadcast_to(np.eye(g.dim), chol_s.shape))
+        sinv = _sym(np.swapaxes(linv, -1, -2) @ linv)
+        sinvs.append(sinv)
+        if k_total:
+            # einsum "bpq,kbqr,brs,lbsp->kl" in its planner's order; do not reorder
+            t = x @ g.A @ sinv
+            ms += (g.A.reshape(k_total, -1) @ t.transpose(1, 3, 2, 0).reshape(-1, k_total)).T
+    d = it.u / it.z
+    ms += (std.G * d) @ std.G.T
+    ms = (ms + ms.T) / 2.0
+    ms_chol = _factor_psd(ms)
+    if ms_chol is None:
+        return "Schur complement factorization failed"
 
     # Complementarity right-hand sides are kept as (sigma*mu, correction)
     # rather than as R_c = sigma*mu*I - X S - correction: forming X S and
@@ -514,9 +537,7 @@ def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
         for g, x, sinv, corr, rd in zip(std.groups, it.X, sinvs, corrs, rds):
             h -= np.einsum("kbij,bji->k", g.A, x_part(x, sinv, sigma_mu, corr, rd))
         h -= std.G @ u_part(sigma_mu, corr_u, rd_u)
-        dy = _solve_psd(ms, h)
-        if dy is None:
-            return None
+        dy = np.linalg.solve(ms_chol.T, np.linalg.solve(ms_chol, h))
         dss, dxs = [], []
         for g, x, sinv, corr, rd in zip(std.groups, it.X, sinvs, corrs, rds):
             ds = rd - np.einsum("k,kbij->bij", dy, g.A)
@@ -526,13 +547,20 @@ def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
         du = u_part(sigma_mu, corr_u, dz)
         return dy, dxs, dss, du, dz
 
-    aff = directions(0.0, [0.0] * len(it.X), 0.0)
-    if aff is None:
-        return "Schur complement factorization failed"
-    dy_a, dxs_a, dss_a, du_a, dz_a = aff
+    uz = np.concatenate((it.u, it.z))
 
-    ap = min(1.0, *[_max_step(x, dx) for x, dx in zip(it.X, dxs_a)], _max_step_vec(it.u, du_a))
-    ad = min(1.0, *[_max_step(s, ds) for s, ds in zip(it.S, dss_a)], _max_step_vec(it.z, dz_a))
+    def step_lengths(dxs, dss, du, dz, frac):
+        steps = [
+            _max_steps(chol, np.concatenate((dx, ds)))
+            for chol, dx, ds in zip(it.chol, dxs, dss)
+        ]
+        su, sz = _max_step_vec(uz, np.concatenate((du, dz)))
+        ap = min(1.0, *[frac * sx for sx, _ in steps], frac * su)
+        ad = min(1.0, *[frac * ss for _, ss in steps], frac * sz)
+        return ap, ad
+
+    dy_a, dxs_a, dss_a, du_a, dz_a = directions(0.0, [0.0] * len(it.X), 0.0)
+    ap, ad = step_lengths(dxs_a, dss_a, du_a, dz_a, 1.0)
     comp_aff = sum(
         float(np.einsum("bij,bij->", x + ap * dx, s + ad * ds))
         for x, dx, s, ds in zip(it.X, dxs_a, it.S, dss_a)
@@ -540,26 +568,28 @@ def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
     mu_aff = comp_aff / std.cone_dim
     sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10)) if mu > 0 else 0.1
 
-    comb = directions(sigma * mu, [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a)
-    if comb is None:
-        return "Schur complement factorization failed"
-    dy, dxs, dss, du, dz = comb
-
-    tau = opts.step_frac
-    ap = min(1.0, *[tau * _max_step(x, dx) for x, dx in zip(it.X, dxs)], tau * _max_step_vec(it.u, du))
-    ad = min(1.0, *[tau * _max_step(s, ds) for s, ds in zip(it.S, dss)], tau * _max_step_vec(it.z, dz))
+    dy, dxs, dss, du, dz = directions(
+        sigma * mu, [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
+    )
+    ap, ad = step_lengths(dxs, dss, du, dz, opts.step_frac)
     if not (math.isfinite(ap) and math.isfinite(ad)) or ap <= 0 or ad <= 0:
         return "degenerate step length"
 
     # rounding in the boundary-step eigensolves can push the new iterate just
     # outside the cone on ill-conditioned instances; back off until interior
     for _ in range(30):
-        nx = [_sym(x + ap * dx) for x, dx in zip(it.X, dxs)]
-        ns = [_sym(s + ad * ds) for s, ds in zip(it.S, dss)]
+        stacks = [
+            _sym(np.concatenate((x + ap * dx, s + ad * ds)))
+            for x, dx, s, ds in zip(it.X, dxs, it.S, dss)
+        ]
         nu = it.u + ap * du
         nz = it.z + ad * dz
-        if _in_cone(nx, nu) and _in_cone(ns, nz):
-            it.X, it.S, it.u, it.z = nx, ns, nu, nz
+        chol = _cone_factors(stacks, (nu, nz))
+        if chol is not None:
+            halves = [len(x) for x in it.X]
+            it.X = [st[:h] for st, h in zip(stacks, halves)]
+            it.S = [st[h:] for st, h in zip(stacks, halves)]
+            it.u, it.z, it.chol = nu, nz, chol
             it.y = it.y + ad * dy
             return None
         ap *= 0.5

@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+try:
+    from numpy._core import einsumfunc
+except ImportError:  # numpy < 2
+    from numpy.core import einsumfunc
+
 from oracles import oracle_instance
 from swiptcran.beamform import GroupDivision, SystemParams, build_sdp
 from swiptcran.sdp import (
@@ -186,6 +191,66 @@ class TestTailConvergence:
             objectives.append(sol.objective_value)
         assert objectives[0] == pytest.approx(objectives[1], rel=1e-7)
         assert objectives[0] == pytest.approx(829.34238, rel=1e-7)
+
+
+class TestCallCounts:
+    def test_each_cone_stack_is_factored_once_per_iteration(self, monkeypatch):
+        # The solver is bound by NumPy call overhead: each iteration factors
+        # every cone stack once (its interiority test) and the Schur matrix
+        # once, and no contraction is planned at run time
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        ch = draw_channels(topo, seed=5, slot=0)
+        problem = build_sdp(topo, ch, GroupDivision.all_met(7), SystemParams())
+        counts = {"cholesky": 0, "cholesky_failed": 0, "einsum_path": 0}
+        cholesky, einsum_path = np.linalg.cholesky, einsumfunc.einsum_path
+
+        def counted_cholesky(a):
+            counts["cholesky"] += 1
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                counts["cholesky_failed"] += 1
+                raise
+
+        def counted_einsum_path(*args, **kwargs):
+            counts["einsum_path"] += 1
+            return einsum_path(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(np, "einsum_path", counted_einsum_path)
+        # the planner that einsum(..., optimize=...) calls
+        monkeypatch.setattr(einsumfunc, "einsum_path", counted_einsum_path)
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert counts["einsum_path"] == 0
+        # one more for the starting point; a failed factorization (a
+        # backtrack or a jitter retry) allows one more
+        assert counts["cholesky"] <= 2 * sol.iterations + 1 + counts["cholesky_failed"]
+
+    def test_schur_jitter_recovers_a_repeated_equality_row(self, monkeypatch):
+        # the same row twice makes the Schur matrix singular, so its
+        # factorization needs the jitter escalation
+        a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+        row = SdpConstraint({0: a}, {}, "=", 1.0)
+        problem = SdpProblem((2,), 0, {0: np.eye(2, dtype=complex)}, {}, (row, row))
+        failed = []
+        cholesky = np.linalg.cholesky
+
+        def counted_cholesky(m):
+            try:
+                return cholesky(m)
+            except np.linalg.LinAlgError:
+                failed.append(m.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        sol = solve(problem)
+        assert (2, 2) in failed  # a Schur factorization failed and was retried
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.iterations == 9
+        # min tr(X) s.t. tr(A X) = 1 is 1 / lambda_max(A)
+        assert sol.objective_value == pytest.approx(1.0 / np.linalg.eigvalsh(a).max(), rel=1e-7)
+        assert sol.objective_value == pytest.approx(0.45308183946793706, rel=1e-12)
 
 
 class TestScalingCovariance:

@@ -1,5 +1,9 @@
 """Tests for the built-in invariant check suite."""
 
+import dataclasses
+
+from swiptcran import validate
+from swiptcran.beamform import GroupDivision
 from swiptcran.sdp import SolverOptions
 from swiptcran.validate import check_solver_accuracy, run_all_checks
 
@@ -29,3 +33,17 @@ class TestRunAllChecks:
         result = check_solver_accuracy(SolverOptions(max_iters=2))
         assert not result.passed
         assert "seed" in result.detail
+
+    def test_division_invariants_flag_a_history_division_over_other_ets(self, monkeypatch):
+        real = validate.algorithm1
+
+        def with_short_division(instance):
+            result = real(instance)
+            division, report = result.history[0]
+            stray = (GroupDivision(division.n_et - 1), report)
+            return dataclasses.replace(result, history=(stray, *result.history))
+
+        monkeypatch.setattr(validate, "algorithm1", with_short_division)
+        result = validate.check_division_invariants(SolverOptions())
+        assert not result.passed
+        assert "covers 4 ETs, the topology has 5" in result.detail
