@@ -98,22 +98,17 @@ def _base_row(config: ExperimentConfig, **overrides) -> dict[str, str]:
     return row
 
 
-def _run_algorithm(name: str, config: ExperimentConfig, instance: Instance) -> DivisionRunResult:
-    if name == "alg1" or name == "alg2":
-        fn = algorithm1 if name == "alg1" else algorithm2
-        return fn(
-            instance,
-            poor_channel_factor=config.poor_channel_factor,
-            boundary_band=config.boundary_band,
-            max_division_iters=config.max_division_iters,
-        )
-    if name == "all-fet":
-        return baseline_all_fet(instance)
-    if name == "all-met":
-        return baseline_all_met(instance)
-    if name == "brute":
-        return brute_force(instance, config.brute_force_cap)
-    raise ConfigError(f"unknown algorithm {name!r}")
+def _run_algorithm(name: str, instance: Instance) -> DivisionRunResult:
+    # built per call: the tracer wraps these names as module globals, and a
+    # table built at import would keep the unwrapped functions
+    searches = {
+        "alg1": algorithm1,
+        "alg2": algorithm2,
+        "brute": brute_force,
+        "all-fet": baseline_all_fet,
+        "all-met": baseline_all_met,
+    }
+    return searches[name](instance)
 
 
 def _trial_topology(config: ExperimentConfig, trial: int):
@@ -146,7 +141,7 @@ def _slot_rows(
         instance = _trial_instance(config, trial, params)
         for name in config.algorithms:
             start = time.perf_counter()
-            result = _run_algorithm(name, config, instance)
+            result = _run_algorithm(name, instance)
             ms = (time.perf_counter() - start) * 1e3
             row = _base_row(
                 config,
@@ -208,7 +203,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
 
 def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
     rows = []
-    cumulative = {v: np.zeros(config.q_longterm) for v in LONGTERM_VARIANTS}
+    cumulative = {v: 0.0 for v in LONGTERM_VARIANTS}
     counted = {v: 0 for v in LONGTERM_VARIANTS}
     infeasible_slots = {v: 0 for v in LONGTERM_VARIANTS}
     unsolved_slots = {v: 0 for v in LONGTERM_VARIANTS}
@@ -225,9 +220,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
                 q_training=config.q_training,
                 threshold=config.threshold,
                 params=config.params,
-                algorithm=lambda instance: _run_algorithm(
-                    config.training_algorithm, config, instance
-                ),
+                algorithm=config.training_algorithm,
                 options=config.solver,
             )
         except TrainingFailure as exc:
@@ -298,7 +291,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
                     infeasible_slots[variant] += 1
                 else:
                     unsolved_slots[variant] += 1
-                cumulative[variant][slot] += running
+            cumulative[variant] += running
             counted[variant] += 1
 
     summary = ["long-term cumulative consumption (mean over trials, mW):"]
@@ -306,7 +299,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
         if counted[variant] == 0:
             summary.append(f"  {variant}: no completed trials")
             continue
-        final = cumulative[variant][-1] / counted[variant] if config.q_longterm else 0.0
+        final = cumulative[variant] / counted[variant]
         total_slots = counted[variant] * config.q_longterm
         rate = infeasible_slots[variant] / total_slots if total_slots else 0.0
         summary.append(

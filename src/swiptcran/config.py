@@ -11,21 +11,13 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .beamform import SystemParams
-from .division import (
-    BOUNDARY_BAND,
-    BRUTE_FORCE_CAP,
-    MAX_DIVISION_ITERS,
-    POOR_CHANNEL_FACTOR,
-)
+from .division import BRUTE_FORCE_CAP
 from .longterm import ALGORITHMS, DIVISION_THRESHOLD, Q_TRAINING
 from .sdp import SolverOptions
 
 MODES = ("single-slot", "sweep", "longterm", "validate")
 ALGORITHM_CHOICES = ("alg1", "alg2", "all-fet", "all-met", "brute")
-_COUNT_FIELDS = (
-    "n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm",
-    "max_division_iters", "brute_force_cap",
-)
+_COUNT_FIELDS = ("n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm")
 
 
 class ConfigError(ValueError):
@@ -55,10 +47,6 @@ class ExperimentConfig:
     training_algorithm: str = "alg2"
     sweep_param: str = "p_amin_dbm"
     sweep_values: tuple[float, ...] = (-20.0, -18.0, -17.0, -15.0)
-    poor_channel_factor: float = POOR_CHANNEL_FACTOR
-    boundary_band: float = BOUNDARY_BAND
-    max_division_iters: int = MAX_DIVISION_ITERS
-    brute_force_cap: int = BRUTE_FORCE_CAP
     solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
@@ -81,9 +69,9 @@ class ExperimentConfig:
             raise ConfigError("run.n_trials must be at least 1")
         if self.seed < 0:
             raise ConfigError("run.seed must be nonnegative")
-        if "brute" in self.algorithms and self.n_et > self.brute_force_cap:
+        if "brute" in self.algorithms and self.n_et > BRUTE_FORCE_CAP:
             raise ConfigError(
-                f"brute force requested with {self.n_et} ETs; cap is {self.brute_force_cap}"
+                f"brute force requested with {self.n_et} ETs; cap is {BRUTE_FORCE_CAP}"
             )
         if self.sweep_param.removesuffix("_dbm") not in ("p_amin", "p_fmin", "noise_power"):
             raise ConfigError(f"unsupported sweep parameter {self.sweep_param!r}")
@@ -95,8 +83,6 @@ class ExperimentConfig:
             raise ConfigError("run.threshold must lie in [0, 1]")
         if self.training_algorithm not in ALGORITHMS:
             raise ConfigError(f"run.training_algorithm must be one of {sorted(ALGORITHMS)}")
-        if self.max_division_iters < 1:
-            raise ConfigError("division.max_iters must be at least 1")
 
     def config_hash(self) -> str:
         """Stable digest of every resolved setting; stamped on each CSV row."""
@@ -150,9 +136,6 @@ _RUN_KEYS = {
     "threshold", "training_algorithm",
 }
 _SWEEP_KEYS = {"param", "values"}
-_DIVISION_KEYS = {
-    "poor_channel_factor", "boundary_band", "max_iters", "brute_force_cap",
-}
 _SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
@@ -206,10 +189,6 @@ def build_config(entries: dict[str, object]) -> ExperimentConfig:
                 top["sweep_param"] = str(value)
             else:
                 top["sweep_values"] = _float_tuple(key, value)
-        elif section == "division":
-            if name not in _DIVISION_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            top["max_division_iters" if name == "max_iters" else name] = value
         elif section == "solver":
             if name not in _SOLVER_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")

@@ -174,9 +174,7 @@ def boundary_refine(
 
 
 def update_division(
-    instance: Instance,
-    prev: GroupDivision,
-    boundary_band: float = BOUNDARY_BAND,
+    instance: Instance, prev: GroupDivision
 ) -> tuple[GroupDivision | None, PowerReport]:
     """One division update round.
 
@@ -189,7 +187,7 @@ def update_division(
     if not report.feasible:
         return None, report
     division = _classify_by_ranges(instance.topology, report.ranges)
-    division = boundary_refine(instance, division, report.ranges, boundary_band)
+    division = boundary_refine(instance, division, report.ranges)
     return division, report
 
 
@@ -249,53 +247,27 @@ def _iterate(initial: GroupDivision, update_fn, max_iters: int) -> DivisionRunRe
     return result(*rounds[-1], Termination.ITERATION_CAP)
 
 
-def _run_iterative(
-    instance: Instance,
-    initial: GroupDivision,
-    poor_channel_factor: float,
-    boundary_band: float,
-    max_division_iters: int,
-) -> DivisionRunResult:
-    start = channel_check(
-        instance.topology, instance.channels, initial, instance.params, poor_channel_factor
-    )
+def _run_iterative(instance: Instance, initial: GroupDivision) -> DivisionRunResult:
+    start = channel_check(instance.topology, instance.channels, initial, instance.params)
 
     def update(prev: GroupDivision):
-        return update_division(instance, prev, boundary_band)
+        return update_division(instance, prev)
 
-    return _iterate(start, update, max_division_iters)
+    return _iterate(start, update, MAX_DIVISION_ITERS)
 
 
-def algorithm1(
-    instance: Instance,
-    poor_channel_factor: float = POOR_CHANNEL_FACTOR,
-    boundary_band: float = BOUNDARY_BAND,
-    max_division_iters: int = MAX_DIVISION_ITERS,
-) -> DivisionRunResult:
+def algorithm1(instance: Instance) -> DivisionRunResult:
     """Iterative division starting from the all-MET assumption."""
-    return _run_iterative(
-        instance,
-        GroupDivision.all_met(instance.topology.n_et),
-        poor_channel_factor,
-        boundary_band,
-        max_division_iters,
-    )
+    return _run_iterative(instance, GroupDivision.all_met(instance.topology.n_et))
 
 
-def algorithm2(
-    instance: Instance,
-    poor_channel_factor: float = POOR_CHANNEL_FACTOR,
-    boundary_band: float = BOUNDARY_BAND,
-    max_division_iters: int = MAX_DIVISION_ITERS,
-) -> DivisionRunResult:
+def algorithm2(instance: Instance) -> DivisionRunResult:
     """Iterative division seeded by each RRH's green-energy-only range."""
     initial = _classify_by_ranges(instance.topology, initial_green_range(instance.params))
-    return _run_iterative(
-        instance, initial, poor_channel_factor, boundary_band, max_division_iters
-    )
+    return _run_iterative(instance, initial)
 
 
-def brute_force(instance: Instance, brute_force_cap: int = BRUTE_FORCE_CAP) -> DivisionRunResult:
+def brute_force(instance: Instance) -> DivisionRunResult:
     """Exhaustive search over all 2^U_E divisions; the optimality oracle.
 
     The minimum is certified only if every division solved or was certified
@@ -303,8 +275,8 @@ def brute_force(instance: Instance, brute_force_cap: int = BRUTE_FORCE_CAP) -> D
     is still returned, but with termination NotConverged.
     """
     n_et = instance.topology.n_et
-    if n_et > brute_force_cap:
-        raise ValueError(f"{n_et} ETs exceed the brute force cap of {brute_force_cap}")
+    if n_et > BRUTE_FORCE_CAP:
+        raise ValueError(f"{n_et} ETs exceed the brute force cap of {BRUTE_FORCE_CAP}")
     best: tuple[GroupDivision, PowerReport] | None = None
     unsolved = None
     for mask in range(1 << n_et):

@@ -485,7 +485,7 @@ def _infeasibility_certificate(std: _StdForm, it: _Iterate):
     if ry <= 1e-8:
         return None
     yn = it.y / ry
-    tol = 1e-9 * max(1.0, float(np.sum(np.abs(yn))))
+    tol = 1e-9 * float(np.sum(np.abs(yn)))
     worst = -math.inf
     for g in std.groups:
         zb = np.einsum("k,kbij->bij", yn, g.A)

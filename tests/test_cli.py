@@ -11,7 +11,9 @@ from swiptcran.cli import (
     main,
     write_rows,
 )
-from swiptcran.config import ConfigError, ExperimentConfig, load_config
+from swiptcran.config import ALGORITHM_CHOICES, ConfigError, ExperimentConfig, load_config
+from swiptcran.division import DivisionRunResult
+from swiptcran.longterm import ALGORITHMS
 from swiptcran.validate import CheckResult
 
 SMALL_CONF = """
@@ -83,12 +85,6 @@ class TestSingleSlotRows:
             assert row["termination"] == "NotConverged"
         assert all("infeasibility rate 0.000, 2 unsolved" in line for line in summary[1:])
 
-    def test_unknown_algorithm_rejected(self, small_conf):
-        config = load_config(small_conf)
-        instance = cli._trial_instance(config, 0, config.params)
-        with pytest.raises(ConfigError):
-            cli._run_algorithm("alg9", config, instance)
-
     def test_alpha_abs_reaches_channel_draws(self, tmp_path):
         # all-MET floors ignore alpha_abs, so only the fading draw can move them
         objectives = []
@@ -132,15 +128,31 @@ class TestMainSingleSlot:
         path.write_text("run.warp_speed = 9\n", encoding="utf-8")
         assert main(["single-slot", "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize(
-        "line", ["solver.max_iters = -1", "division.max_iters = 0", "run.threshold = 1.5"]
-    )
+    @pytest.mark.parametrize("line", ["solver.max_iters = -1", "run.threshold = 1.5"])
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
         path = tmp_path / "bad.conf"
         path.write_text(f"topology.n_it = 3\nrun.n_trials = 1\n{line}\n", encoding="utf-8")
         out = tmp_path / "o.csv"
         assert main(["longterm", "--config", str(path), "--out", str(out)]) == 1
         assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "division.max_iters = 50",
+            "division.brute_force_cap = 12",
+            "division.poor_channel_factor = 0.05",
+            "division.boundary_band = 0.05",
+        ],
+    )
+    def test_division_key_exits_before_any_trial(self, tmp_path, capsys, line):
+        # the division heuristics are constants; even their own values are refused
+        path = tmp_path / "bad.conf"
+        path.write_text(f"topology.n_it = 3\nrun.n_trials = 1\n{line}\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        assert main(["longterm", "--config", str(path), "--out", str(out)]) == 1
+        assert "unknown config section 'division'" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -263,27 +275,16 @@ class TestLongterm:
         assert rows[0]["status"] == "MaxIterations"
         assert rows[0]["termination"] == "NotConverged"
 
-    def test_division_keys_reach_training(self):
-        base = {
-            "run.mode": "longterm",
-            "run.n_trials": 3,
-            "topology.n_it": 3,
-            "run.q_training": 4,
-            "run.q_longterm": 2,
-        }
-        division_keys = {
-            "division.max_iters": 1,
-            "division.boundary_band": 0.0,
-            "division.poor_channel_factor": 0.0,
-        }
 
-        def training_masks(overrides):
-            rows, _ = cli.run_longterm(load_config(None, overrides))
-            return [r["division_bitmask"] for r in rows if r["stage"] == "training"]
+class TestAlgorithmNames:
+    @pytest.mark.parametrize("name", ALGORITHM_CHOICES)
+    def test_every_choice_runs(self, name):
+        config = load_config(None, {"topology.n_it": 3, "topology.n_et": 3})
+        instance = cli._trial_instance(config, 0, config.params)
+        assert isinstance(cli._run_algorithm(name, instance), DivisionRunResult)
 
-        default = training_masks(base)
-        assert len(default) == 3
-        assert training_masks({**base, **division_keys}) != default
+    def test_training_algorithms_are_choices(self):
+        assert set(ALGORITHMS) <= set(ALGORITHM_CHOICES)
 
 
 class TestValidateExitCodes:

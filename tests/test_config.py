@@ -25,14 +25,14 @@ class TestParseConfigText:
         run.mode = single-slot
         system.p_en = [2.0, 2.5, 3.0]
         sweep.values = [-20, -17]
-        division.boundary_band = 0.05
+        run.threshold = 0.05
         """
         out = parse_config_text(text)
         assert out["run.seed"] == 7
         assert out["run.mode"] == "single-slot"  # bare string fallback
         assert out["system.p_en"] == [2.0, 2.5, 3.0]
         assert out["sweep.values"] == [-20, -17]
-        assert out["division.boundary_band"] == 0.05
+        assert out["run.threshold"] == 0.05
 
     def test_rejects_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -108,18 +108,10 @@ class TestBuildConfig:
     def test_brute_force_cap_enforced(self):
         with pytest.raises(ConfigError, match="cap"):
             build_config({"run.algorithms": "brute", "topology.n_et": 13})
-        cfg = build_config(
-            {"run.algorithms": "brute", "topology.n_et": 13, "division.brute_force_cap": 16}
-        )
-        assert cfg.n_et == 13
 
     def test_p_en_length_must_match_rrh_count(self):
         with pytest.raises(ConfigError, match="p_en"):
             build_config({"system.p_en": [2.0, 2.5, 3.0], "topology.n_rrh": 2})
-
-    def test_division_max_iters_maps_to_field(self):
-        cfg = build_config({"division.max_iters": 9})
-        assert cfg.max_division_iters == 9
 
     def test_solver_section_feeds_options(self):
         cfg = build_config({"solver.tol_feas": 1e-9, "solver.max_iters": 64})
@@ -173,7 +165,6 @@ class TestBuildConfig:
             ("solver.max_iters", 2.5),
             ("solver.tol_gap", 0.0),
             ("solver.step_frac", 1.0),
-            ("division.max_iters", 0),
             ("run.n_trials", 2.5),
             ("run.q_longterm", 2.5),
             ("run.threshold", 1.5),
@@ -183,6 +174,14 @@ class TestBuildConfig:
     def test_values_that_would_fail_mid_run_are_rejected(self, key, value):
         with pytest.raises(ConfigError):
             build_config({key: value})
+
+    @pytest.mark.parametrize(
+        "key", ["max_iters", "brute_force_cap", "poor_channel_factor", "boundary_band"]
+    )
+    def test_division_section_is_a_config_error(self, key):
+        # the division heuristics are constants in swiptcran.division
+        with pytest.raises(ConfigError, match="unknown config section 'division'"):
+            build_config({f"division.{key}": 1})
 
     def test_training_algorithm_names_come_from_longterm(self):
         for name in ALGORITHMS:

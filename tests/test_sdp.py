@@ -143,6 +143,21 @@ class TestStatusDetection:
         )
         assert sol.status is SdpStatus.INFEASIBLE
 
+    @pytest.mark.parametrize("rhs", [1e9, 1e12, 1e100])
+    def test_large_rhs_floor_is_not_certified_infeasible(self, rhs):
+        # the Farkas tolerance is relative to |y|_1, which shrinks as the rhs grows
+        eye = np.eye(2, dtype=complex)
+        problem = SdpProblem(
+            block_dims=(2,),
+            n_scalars=0,
+            obj_blocks={0: eye},
+            obj_scalars={},
+            constraints=(SdpConstraint({0: eye}, {}, ">=", rhs),),
+        )
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL, sol.detail
+        assert sol.objective_value / rhs == pytest.approx(1.0, rel=1e-7)
+
     def test_negative_cost_unbounded(self):
         sol = solve(_scalar_problem([SdpConstraint({}, {0: 1.0}, ">=", 0.0)], obj=-1.0))
         assert sol.status is SdpStatus.UNBOUNDED
