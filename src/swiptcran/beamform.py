@@ -25,6 +25,7 @@ from .sdp import (
     SdpStatus,
     SolverOptions,
     solve,
+    solve_batch,
 )
 from .topology import D_MIN_M, assigned_rrh
 
@@ -425,6 +426,15 @@ def unsolved_report(n_rrh: int, status: SdpStatus) -> PowerReport:
     )
 
 
+def _division_report(topology, solution: SdpSolution, params: SystemParams) -> PowerReport:
+    """The power report of an Optimal solve, else a NaN report carrying the
+    solver's status, so a solve that ran out of iterations is never reported
+    as infeasible."""
+    if solution.status is SdpStatus.OPTIMAL:
+        return power_report(solution, params)
+    return unsolved_report(topology.n_rrh, solution.status)
+
+
 def solve_division(
     topology,
     channels,
@@ -432,13 +442,22 @@ def solve_division(
     params: SystemParams,
     options: SolverOptions | None = None,
 ) -> tuple[PowerReport, SdpSolution]:
-    """Build and solve the SDP for one division.
+    """Build and solve the SDP for one division."""
+    solution = solve(build_sdp(topology, channels, division, params), options)
+    return _division_report(topology, solution, params), solution
 
-    A non-Optimal solve yields a NaN report carrying the solver's status, so
-    a solve that ran out of iterations is never reported as infeasible.
+
+def solve_division_batch(
+    topology,
+    draws,
+    division: GroupDivision,
+    params: SystemParams,
+    options: SolverOptions | None = None,
+) -> list[PowerReport]:
+    """Solve one division on each channel draw of the iterable `draws`, as
+    one `solve_batch`, which builds the SDPs a batch at a time.
+
+    Report i equals the report `solve_division` gives for the i-th draw.
     """
-    problem = build_sdp(topology, channels, division, params)
-    solution = solve(problem, options)
-    if solution.status is SdpStatus.OPTIMAL:
-        return power_report(solution, params), solution
-    return unsolved_report(topology.n_rrh, solution.status), solution
+    problems = (build_sdp(topology, channels, division, params) for channels in draws)
+    return [_division_report(topology, sol, params) for sol in solve_batch(problems, options)]

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamform import GroupDivision, PowerReport, SystemParams, solve_division
+# the stage no longer calls solve_division, but perfbench/tracing.py wraps
+# longterm.solve_division, so the name stays a module attribute
+from .beamform import (  # noqa: F401
+    GroupDivision,
+    PowerReport,
+    SystemParams,
+    solve_division,
+    solve_division_batch,
+)
 from .division import DivisionRunResult, Instance, algorithm1, algorithm2
 from .sdp import SdpStatus, SolverOptions
 from .topology import ChannelRealization, draw_channels
@@ -133,17 +141,18 @@ def longterm_stage(
 
     Frozen FET channel columns are zeroed before each build: their floors
     are geometric, so results cannot depend on what those ETs would have
-    reported.  Unsolved slots yield NaN reports with `feasible` false and
-    the solver's status (`Infeasible` or `MaxIterations`) in `status`.
+    reported.  Every slot has the same SDP structure, so the slots are
+    solved together as one batch; each report equals what `solve_division`
+    gives for its slot alone.  Unsolved slots yield NaN reports with
+    `feasible` false and the solver's status (`Infeasible` or
+    `MaxIterations`) in `status`.
     """
     if q_longterm < 0:
         raise ValueError("q_longterm must be nonnegative")
     params = params or SystemParams()
     division.validate_for(topology.n_et)
-    reports = []
-    for slot in range(q_longterm):
-        channels = draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs)
-        channels = mask_fet_channels(channels, division)
-        report, _ = solve_division(topology, channels, division, params, options)
-        reports.append(report)
-    return reports
+    draws = (
+        mask_fet_channels(draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs), division)
+        for slot in range(q_longterm)
+    )
+    return solve_division_batch(topology, draws, division, params, options)

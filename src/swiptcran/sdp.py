@@ -19,7 +19,18 @@ ill-conditioned near convergence.  Inequalities get slack variables and join the
 scalars in a nonnegative-orthant cone handled alongside the PSD blocks.
 
 The solver is bound by per-call overhead, not by flops, so an iteration makes
-as few NumPy calls as it can.  The blocks of one embedded dimension form a
+as few NumPy calls as it can, and one iteration serves a batch of problems.
+`solve_batch` runs problems of one structure (block dimensions, scalar
+count, constraint senses) over a leading problem axis, `BATCH_SIZE` at a
+time, and `solve` is a batch of one; there is no other code path.  Each
+problem keeps its own tests (convergence, Farkas certificate, primal ray,
+iteration cap, Schur jitter retry, interiority back-off, the PSD check of
+the returned blocks) and leaves the batch when it ends.  Every batched call
+computes a problem's entries exactly as a batch of one does: LAPACK and BLAS
+work matrix by matrix, the einsum calls keep their inner loops, and the
+per-problem scalars are Python floats.  So each result is bit-identical to
+solving that problem alone.  The one exception found, einsum's
+contraction over a group of a single block, is made problem by problem.  The blocks of one embedded dimension form a
 group, and X and S of a group are stacked: the interiority test factors the
 stack (X, S) once, and that Cholesky factor gives S^-1 and all four
 step-length tests of the next iteration.  The Schur matrix is factored once
@@ -40,8 +51,11 @@ field of the solution records which indicator fired.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -306,78 +320,76 @@ class _StdForm:
 
 
 def _sym(a):
-    return (a + np.swapaxes(a, -1, -2)) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _max_steps(chol: np.ndarray, d: np.ndarray) -> tuple[float, float]:
-    """Largest a with X + a dX PSD, and with S + a dS PSD; inf if unbounded.
+def _sum(terms):
+    """`sum(terms)` without its leading `0 +`, which changes only a -0.0
+    total; the terms summed here (einsum reductions, sums of squares, traces
+    of interior iterates) are never -0.0."""
+    terms = list(terms)
+    return functools.reduce(operator.add, terms) if terms else 0.0
 
-    `chol` is the Cholesky factor of one group's stack (X, S) and `d` the
-    matching stack (dX, dS); the two halves share one chain of calls.
+
+def _dot(a, b):
+    """Row-wise a_p . b_p of two (P, n) stacks, by the same BLAS dot as a 1-D `a @ b`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _mv(m, v):
+    """Row-wise m_p @ v_p of a (P, k, n) and a (P, n) stack, by the same BLAS gemv as 2-D @ 1-D."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _adjoint_dot(a, m):
+    """sum_bij A[p,k,b,i,j] M[p,b,j,i] for each problem p and row k."""
+    if a.shape[2] == 1:
+        # with one block in the group, einsum's summation order over a
+        # problem axis depends on the batch size; contract each problem on
+        # its own so that it gets the bits it gets when solved alone
+        return np.stack([np.einsum("kbij,bji->k", ai, mi) for ai, mi in zip(a, m)])
+    return np.einsum("pkbij,pbji->pk", a, m)
+
+
+def _max_steps(chol: np.ndarray, d: np.ndarray) -> list:
+    """Per problem, the largest a with X + a dX PSD and with S + a dS PSD; inf if unbounded.
+
+    `chol` holds the Cholesky factors of one group's stacks (X, S) and `d`
+    the matching stacks (dX, dS); the two halves share one chain of calls.
     """
     y = np.linalg.solve(chol, d)
-    y = np.linalg.solve(chol, np.swapaxes(y, -1, -2))
+    y = np.linalg.solve(chol, y.swapaxes(-1, -2))
     lam = np.linalg.eigvalsh(_sym(y))
-    half = len(lam) // 2
-    worst = (float(lam[:half].min()), float(lam[half:].min()))
-    return tuple(math.inf if w >= -1e-14 else 1.0 / (-w) for w in worst)
+    worst = lam.reshape(len(lam), 2, -1).min(axis=2).tolist()
+    return [[math.inf if w >= -1e-14 else 1.0 / (-w) for w in pair] for pair in worst]
 
 
-def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> tuple[float, float]:
-    """Largest a with v + a dv >= 0 on each half of v = (u, z); inf if unbounded."""
-    ratio = np.divide(v, -dv, out=np.full_like(v, np.inf), where=dv < 0)
-    half = len(v) // 2
-    return float(ratio[:half].min(initial=np.inf)), float(ratio[half:].min(initial=np.inf))
+def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> list:
+    """Per row of v = (u, z), the largest a with v + a dv >= 0 on each half; inf if unbounded."""
+    ratio = np.where(dv < 0, v / -dv, np.inf)
+    return ratio.reshape(len(v), 2, -1).min(axis=2, initial=np.inf).tolist()
 
 
 def _cone_factors(stacks, vecs):
-    """Strict interiority check: the Cholesky factor of every block stack if
-    each factors and every entry of `vecs` is positive, else None."""
+    """Strict interiority check of a whole batch: the Cholesky factors of
+    every block stack if each factors and every entry of `vecs` is positive,
+    else None."""
     factors = []
     for st in stacks:
-        if not np.all(np.isfinite(st)):
+        if not np.isfinite(st).all():
             return None
         try:
             factors.append(np.linalg.cholesky(st))
         except np.linalg.LinAlgError:
             return None
     for vec in vecs:
-        if vec.size and not (np.all(np.isfinite(vec)) and float(vec.min()) > 0.0):
+        # min and max pass NaN through, so this also rejects NaN and inf
+        if vec.size and not (float(vec.min()) > 0.0 and float(vec.max()) < math.inf):
             return None
     return factors
 
 
-class _Iterate:
-    """Primal-dual point; `chol[g]` is the Cholesky factor of group g's stack (X, S)."""
-
-    def __init__(self, std: _StdForm):
-        self.X = []
-        self.S = []
-        for g in std.groups:
-            bsz = len(g.block_ids)
-            an = np.sqrt(np.einsum("kbij,kbij->kb", g.A, g.A))  # (K, B)
-            cn = np.sqrt(np.einsum("bij,bij->b", g.C, g.C))
-            if std.k_total:
-                xi = np.maximum(
-                    10.0,
-                    g.dim * np.max((1.0 + np.abs(std.r))[:, None] / (1.0 + an), axis=0),
-                )
-                eta = np.maximum(10.0, np.maximum(cn, np.max(an, axis=0)))
-            else:
-                xi = np.full(bsz, 10.0)
-                eta = np.maximum(10.0, cn)
-            xi = np.maximum(xi, math.sqrt(g.dim))
-            eye = np.eye(g.dim)
-            self.X.append(xi[:, None, None] * eye)
-            self.S.append(eta[:, None, None] * eye)
-        ru = float(np.max(np.abs(std.r))) if std.k_total else 0.0
-        self.u = np.full(std.n_u, max(10.0, ru))
-        self.z = np.full(std.n_u, max(10.0, float(np.max(np.abs(std.c_u))) if std.n_u else 0.0))
-        self.y = np.zeros(std.k_total)
-        self.chol = [np.linalg.cholesky(np.concatenate((x, s))) for x, s in zip(self.X, self.S)]
-
-
-def _factor_psd(m: np.ndarray):
+def _factor_one(m: np.ndarray):
     """Cholesky factor with escalating jitter; returns None on breakdown."""
     k = m.shape[0]
     jitter = 0.0
@@ -390,135 +402,263 @@ def _factor_psd(m: np.ndarray):
     return None
 
 
+def _factor_psd(m: np.ndarray):
+    """Cholesky factors of a stack, each retried with escalating jitter if it
+    fails.  Returns (factors, {row: error}); a row that broke down gets an
+    identity placeholder."""
+    try:
+        # + 0.0 clears negative zeros, as the zero jitter of `_factor_one` does
+        return np.linalg.cholesky(m + 0.0), {}
+    except np.linalg.LinAlgError:
+        pass
+    factors = [_factor_one(mi) for mi in m]
+    broken = {i: "Schur complement factorization failed" for i, f in enumerate(factors) if f is None}
+    eye = np.eye(m.shape[-1])
+    return np.stack([eye if f is None else f for f in factors]), broken
+
+
+class _Batch:
+    """Standard forms of same-structure problems and their primal-dual
+    iterates, stacked on a leading problem axis.
+
+    `std` is the first problem's standard form; the batch reads only its
+    structure (groups, sizes).  `ids` maps each row back to its problem.
+    `chol[g]` holds the Cholesky factors of group g's stacks (X, S).
+    """
+
+    def __init__(self, stds: list):
+        self.std = std = stds[0]
+        n, n_groups = len(stds), len(std.groups)
+        self.A = [np.array([s.groups[g].A for s in stds]) for g in range(n_groups)]
+        self.C = [np.array([s.groups[g].C for s in stds]) for g in range(n_groups)]
+        self.G = np.array([s.G for s in stds])
+        self.c_u = np.array([s.c_u for s in stds])
+        self.r = np.array([s.r for s in stds])
+        self.r_norm = np.array([np.linalg.norm(s.r) for s in stds])
+        self.ids = np.arange(n)
+
+        self.X, self.S = [], []
+        for grp, a, c in zip(std.groups, self.A, self.C):
+            an = np.sqrt(np.einsum("pkbij,pkbij->pkb", a, a))  # (P, K, B)
+            cn = np.sqrt(np.einsum("pbij,pbij->pb", c, c))
+            if std.k_total:
+                xi = np.maximum(
+                    10.0,
+                    grp.dim * ((1.0 + np.abs(self.r))[:, :, None] / (1.0 + an)).max(axis=1),
+                )
+                eta = np.maximum(10.0, np.maximum(cn, an.max(axis=1)))
+            else:
+                xi = np.full((n, len(grp.block_ids)), 10.0)
+                eta = np.maximum(10.0, cn)
+            xi = np.maximum(xi, math.sqrt(grp.dim))
+            eye = np.eye(grp.dim)
+            self.X.append(xi[:, :, None, None] * eye)
+            self.S.append(eta[:, :, None, None] * eye)
+        ru = np.abs(self.r).max(axis=1) if std.k_total else np.zeros(n)
+        cu = np.abs(self.c_u).max(axis=1) if std.n_u else np.zeros(n)
+        ones = np.ones((n, std.n_u))
+        self.u = ones * np.maximum(10.0, ru)[:, None]
+        self.z = ones * np.maximum(10.0, cu)[:, None]
+        self.y = np.zeros((n, std.k_total))
+        self.chol = [np.linalg.cholesky(np.concatenate((x, s), axis=1)) for x, s in zip(self.X, self.S)]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row not selected by the boolean mask `rows`."""
+        for name in ("A", "C", "X", "S", "chol"):
+            setattr(self, name, [a[rows] for a in getattr(self, name)])
+        for name in ("G", "c_u", "r", "r_norm", "u", "z", "y", "ids"):
+            setattr(self, name, getattr(self, name)[rows])
+
+
+# Problems per batched IPM run.  On the 150 stage solves of one `longterm`
+# trial (3 RRHs, 3 ITs, 7 ETs; 2 shared CPUs, numpy 2.4, one BLAS thread),
+# batches of 1, 8, 16, 25 and 50 took about 20-23, 10, 7-8, 7.5-8 and 7 ms
+# per solve and raised peak RSS by about 0.7, 1.1, 1.7, 2.3 and 4.0 MB:
+# 16 is the knee, and 50 would spend most of a 10% memory budget.
+BATCH_SIZE = 16
+
+
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
-    """Solve the instance; see module docstring for the algorithm and the
-    status indicators.  Never returns a silently wrong answer: any
+    """Solve one instance: `solve_batch` on a batch of one."""
+    return solve_batch([problem], options)[0]
+
+
+def _structure(problem: SdpProblem) -> tuple:
+    return (
+        tuple(int(d) for d in problem.block_dims),
+        problem.n_scalars,
+        tuple(c.sense for c in problem.constraints),
+    )
+
+
+def solve_batch(problems, options: SolverOptions | None = None) -> list[SdpSolution]:
+    """Solve instances of one structure together; see the module docstring.
+
+    Every problem must have the same `block_dims`, `n_scalars` and
+    constraint senses.  `problems` is read `BATCH_SIZE` at a time (an
+    iterator is never held whole), each group runs through one IPM over a
+    leading problem axis, and each result equals what `solve` returns for
+    that problem alone.  Never returns a silently wrong answer: any
     numerical breakdown surfaces as MaxIterations with diagnostics in
     `detail`, and residual fields always reflect the returned iterate.
     """
     opts = options or SolverOptions()
-    std = _StdForm(problem, problem.validate())
-    it = _Iterate(std)
-    nu = std.cone_dim
-    detail = "iteration cap reached"
-    status = SdpStatus.MAX_ITERATIONS
-    n_iter = 0
-    r_norm = float(np.linalg.norm(std.r))
+    todo = iter(problems)
+    out, shape = [], None
+    while chunk := list(itertools.islice(todo, BATCH_SIZE)):
+        cleaned = [p.validate() for p in chunk]
+        shape = shape or _structure(chunk[0])
+        if any(_structure(p) != shape for p in chunk):
+            raise ValueError("a batch needs one block_dims, n_scalars and constraint senses")
+        out += _solve_chunk(chunk, cleaned, opts)
+    return out
 
-    def a_of(xs):
-        out = np.zeros(std.k_total)
-        for g, x in zip(std.groups, xs):
-            out += np.einsum("kbij,bij->k", g.A, x)
-        return out
 
-    def residuals():
-        rp = std.r - a_of(it.X) - std.G @ it.u
-        rds = []
-        for g, s in zip(std.groups, it.S):
-            rds.append(g.C - np.einsum("k,kbij->bij", it.y, g.A) - s)
-        rd_u = std.c_u - std.G.T @ it.y - it.z
-        pobj = sum(float(np.einsum("bij,bij->", g.C, x)) for g, x in zip(std.groups, it.X))
-        pobj += float(std.c_u @ it.u)
-        dobj = float(std.r @ it.y)
-        comp = sum(float(np.einsum("bij,bij->", x, s)) for x, s in zip(it.X, it.S))
-        comp += float(it.u @ it.z)
-        rel_p = float(np.linalg.norm(rp)) / (1.0 + r_norm)
+def _residuals(bt: _Batch):
+    """Residuals of every row, and per row (pobj, mu, rel_p, rel_d, gap) as Python floats."""
+    a = _sum(np.einsum("pkbij,pbij->pk", A, x) for A, x in zip(bt.A, bt.X))
+    rp = bt.r - a - _mv(bt.G, bt.u)
+    rds = [C - np.einsum("pk,pkbij->pbij", bt.y, A) - s for A, C, s in zip(bt.A, bt.C, bt.S)]
+    rd_u = bt.c_u - _mv(bt.G.swapaxes(1, 2), bt.y) - bt.z
+    sums = (
+        _sum(np.einsum("pbij,pbij->p", C, x) for C, x in zip(bt.C, bt.X)) + _dot(bt.c_u, bt.u),
+        _dot(bt.r, bt.y),
+        _sum(np.einsum("pbij,pbij->p", x, s) for x, s in zip(bt.X, bt.S)) + _dot(bt.u, bt.z),
+        _dot(rp, rp),
+        _sum((rd * rd).reshape(len(rd), -1).sum(axis=1) for rd in rds) + _dot(rd_u, rd_u),
+        bt.r_norm,
+    )
+    stats = [
         # cost data has unit norm after objective normalization, so the
         # relative dual residual denominator 1 + |C| is exactly 2
-        rel_d = math.sqrt(
-            sum(float(np.sum(rd * rd)) for rd in rds) + float(rd_u @ rd_u)
-        ) / 2.0
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        return rp, rds, rd_u, pobj, dobj, comp / nu, rel_p, rel_d, gap
+        (pobj, comp / bt.std.cone_dim, math.sqrt(rp2) / (1.0 + r_norm), math.sqrt(rd2) / 2.0,
+         abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
+        for pobj, dobj, comp, rp2, rd2, r_norm in zip(*(v.tolist() for v in sums))
+    ]
+    return rp, rds, rd_u, stats
+
+
+def _solve_chunk(problems, cleaned, opts):
+    bt = _Batch([_StdForm(p, c) for p, c in zip(problems, cleaned)])
+    results = [None] * len(problems)
+
+    def finish(ends, n_iter, rp, rds, rd_u, stats):
+        """Package the rows in `ends` ({row: (status, detail)}) and drop them
+        from the batch; returns this iteration's residuals of the rows left,
+        or None when no row is left."""
+        for i, (status, detail) in ends.items():
+            p = bt.ids[i]
+            results[p] = _package(
+                problems[p], bt.std, [x[i] for x in bt.X], bt.u[i], status, n_iter,
+                *stats[i][2:], detail, opts,
+            )
+        if len(ends) == len(stats):
+            return None
+        rows = np.ones(len(stats), dtype=bool)
+        rows[list(ends)] = False
+        bt.keep(rows)
+        return rp[rows], [rd[rows] for rd in rds], rd_u[rows], [st for st, k in zip(stats, rows) if k]
 
     for n_iter in range(opts.max_iters + 1):
-        rp, rds, rd_u, pobj, dobj, mu, rel_p, rel_d, gap = residuals()
-
-        if rel_p <= opts.tol_feas and rel_d <= opts.tol_feas and gap <= opts.tol_gap:
-            status, detail = SdpStatus.OPTIMAL, "converged"
-            break
-
-        cert = _infeasibility_certificate(std, it)
-        if cert is not None:
-            status, detail = SdpStatus.INFEASIBLE, cert
-            break
+        rp, rds, rd_u, stats = _residuals(bt)
+        ends = {}
+        for i, (_, _, rel_p, rel_d, gap) in enumerate(stats):
+            if rel_p <= opts.tol_feas and rel_d <= opts.tol_feas and gap <= opts.tol_gap:
+                ends[i] = (SdpStatus.OPTIMAL, "converged")
+        for i, cert in _infeasibility_certificates(bt, ends).items():
+            ends[i] = (SdpStatus.INFEASIBLE, cert)
         # primal-ray (unboundedness) test on the normalized iterate direction:
         # d = (X, u)/|iterate| has A(d) ~ 0 and strictly negative cost.  The
         # raw primal residual is unusable here (catastrophic cancellation once
         # the iterate diverges), so everything is scaled by the cone norm.
-        cone_norm = sum(float(np.trace(x.sum(axis=0))) for x in it.X) + float(
-            np.sum(it.u)
-        )
-        if (
-            cone_norm > 1e9 * (1.0 + r_norm)
-            and pobj / cone_norm <= -1e-10
-            and float(np.linalg.norm(rp)) / cone_norm <= 1e-9
-        ):
-            status = SdpStatus.UNBOUNDED
-            detail = (
-                "objective diverging along a primal feasible ray "
-                f"(iterate norm {cone_norm:.2e}, objective {pobj:.2e})"
-            )
-            break
-
+        cone = _sum(x.sum(axis=1).trace(axis1=1, axis2=2) for x in bt.X) + bt.u.sum(axis=1)
+        for i, (cone_norm, r_norm) in enumerate(zip(cone.tolist(), bt.r_norm.tolist())):
+            pobj = stats[i][0]
+            if (
+                cone_norm > 1e9 * (1.0 + r_norm)
+                and i not in ends
+                and pobj / cone_norm <= -1e-10
+                and float(np.linalg.norm(rp[i])) / cone_norm <= 1e-9
+            ):
+                ends[i] = (
+                    SdpStatus.UNBOUNDED,
+                    "objective diverging along a primal feasible ray "
+                    f"(iterate norm {cone_norm:.2e}, objective {pobj:.2e})",
+                )
         if n_iter == opts.max_iters:
-            break
+            for i in range(len(stats)):
+                ends.setdefault(i, (SdpStatus.MAX_ITERATIONS, "iteration cap reached"))
+        if ends:
+            left = finish(ends, n_iter, rp, rds, rd_u, stats)
+            if left is None:
+                break
+            rp, rds, rd_u, stats = left
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            step = _ipm_step(std, it, rp, rds, rd_u, mu, opts)
-        if step is not None:
-            status = SdpStatus.MAX_ITERATIONS
-            detail = f"numerical breakdown: {step}"
-            break
+            broken = _ipm_step(bt, rp, rds, rd_u, [st[1] for st in stats], opts)
+        if broken:
+            ends = {i: (SdpStatus.MAX_ITERATIONS, f"numerical breakdown: {msg}") for i, msg in broken.items()}
+            if finish(ends, n_iter, rp, rds, rd_u, stats) is None:
+                break
+    return results
 
-    return _package(problem, std, it, status, n_iter, rel_p, rel_d, gap, detail, opts)
 
-
-def _infeasibility_certificate(std: _StdForm, it: _Iterate):
-    """Farkas ray check on the normalized dual iterate.
+def _infeasibility_certificates(bt: _Batch, skip) -> dict:
+    """Farkas ray check on the normalized dual iterate of each row not in `skip`.
 
     If y with r.y > 0 satisfies sum_k y_k A_kb <= 0 (PSD order) and G^T y <= 0
     then no primal feasible point exists; tolerances are relative to |y|_1
-    (rows are unit-normalized at assembly).
+    (rows are unit-normalized at assembly).  Returns {row: certificate}.
     """
-    ry = float(std.r @ it.y)
-    if ry <= 1e-8:
-        return None
-    yn = it.y / ry
-    tol = 1e-9 * float(np.sum(np.abs(yn)))
-    worst = -math.inf
-    for g in std.groups:
-        zb = np.einsum("k,kbij->bij", yn, g.A)
-        worst = max(worst, float(np.linalg.eigvalsh(_sym(zb)).max()))
-    gv = float(np.max(std.G.T @ yn)) if std.n_u else -math.inf
-    if max(worst, gv) <= tol:
-        return (
+    ry = _dot(bt.r, bt.y)
+    rows = [i for i, v in enumerate(ry.tolist()) if v > 1e-8 and i not in skip]
+    if not rows:
+        return {}
+    sel = slice(None) if len(rows) == len(ry) else rows
+    yn = bt.y[sel] / ry[sel, None]
+    worst = [-math.inf] * len(rows)
+    for A in bt.A:
+        zb = np.einsum("pk,pkbij->pbij", yn, A[sel])
+        top = np.linalg.eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
+        worst = [max(w, t) for w, t in zip(worst, top)]
+    if bt.std.n_u:
+        gvs = _mv(bt.G[sel].swapaxes(1, 2), yn).max(axis=1).tolist()
+    else:
+        gvs = [-math.inf] * len(rows)
+    return {
+        i: (
             "Farkas dual ray certificate: with y normalized to r.y = 1, "
-            f"max eig of adjoint {worst:.2e} and max scalar column {gv:.2e} "
+            f"max eig of adjoint {w:.2e} and max scalar column {gv:.2e} "
             f"are within {tol:.1e} of the nonpositive cone"
         )
-    return None
+        for i, w, gv, tol in zip(rows, worst, gvs, (1e-9 * t for t in np.abs(yn).sum(axis=1).tolist()))
+        if max(w, gv) <= tol
+    }
 
 
-def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
-    """One Mehrotra predictor-corrector step; returns an error string on breakdown."""
-    k_total = std.k_total
-    sinvs, ms = [], np.zeros((k_total, k_total))
-    for g, x, chol in zip(std.groups, it.X, it.chol):
-        chol_s = chol[len(x):]
-        linv = np.linalg.solve(chol_s, np.broadcast_to(np.eye(g.dim), chol_s.shape))
-        sinv = _sym(np.swapaxes(linv, -1, -2) @ linv)
+def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list, opts) -> dict:
+    """One Mehrotra predictor-corrector step for every problem of the batch.
+
+    Returns {row: error} for the problems that broke down; those keep their
+    iterate.
+    """
+    k_total = bt.std.k_total
+    n = len(mu)
+    sinvs, ms = [], np.zeros((n, k_total, k_total))
+    for A, x, chol in zip(bt.A, bt.X, bt.chol):
+        chol_s = chol[:, x.shape[1]:]
+        linv = np.linalg.solve(chol_s, np.eye(x.shape[-1]))
+        sinv = _sym(linv.swapaxes(-1, -2) @ linv)
         sinvs.append(sinv)
         if k_total:
             # einsum "bpq,kbqr,brs,lbsp->kl" in its planner's order; do not reorder
-            t = x @ g.A @ sinv
-            ms += (g.A.reshape(k_total, -1) @ t.transpose(1, 3, 2, 0).reshape(-1, k_total)).T
-    d = it.u / it.z
-    ms += (std.G * d) @ std.G.T
-    ms = (ms + ms.T) / 2.0
-    ms_chol = _factor_psd(ms)
-    if ms_chol is None:
-        return "Schur complement factorization failed"
+            t = x[:, None] @ A @ sinv[:, None]
+            ms += (A.reshape(n, k_total, -1) @ t.transpose(0, 2, 4, 3, 1).reshape(n, -1, k_total)).swapaxes(1, 2)
+    d = bt.u / bt.z
+    ms += (bt.G * d[:, None, :]) @ bt.G.swapaxes(1, 2)
+    ms = (ms + ms.swapaxes(1, 2)) / 2.0
+    ms_chol, broken = _factor_psd(ms)
+    ms_chol_t = ms_chol.swapaxes(1, 2)
 
     # Complementarity right-hand sides are kept as (sigma*mu, correction)
     # rather than as R_c = sigma*mu*I - X S - correction: forming X S and
@@ -526,83 +666,128 @@ def _ipm_step(std, it, rp, rds, rd_u, mu, opts):
     # cond(S)*eps*|X|, which swamps X's small eigenvalues near convergence
     # and stalls the primal step.  The -X term is therefore used exactly.
     def x_part(x, sinv, sigma_mu, corr, ds):
-        """sigma*mu*S^-1 - X - (corr + X dS) S^-1 for one block stack."""
+        """sigma*mu*S^-1 - X - (corr + X dS) S^-1 for one group's stacks."""
         return sigma_mu * sinv - x - (corr + x @ ds) @ sinv
 
     def u_part(sigma_mu, corr_u, dz):
-        return sigma_mu / it.z - it.u - (corr_u + it.u * dz) / it.z
+        return sigma_mu / bt.z - bt.u - (corr_u + bt.u * dz) / bt.z
 
-    def directions(sigma_mu, corrs, corr_u):
+    def directions(smu_x, smu_u, corrs, corr_u):
+        """`smu_x` and `smu_u` hold sigma*mu shaped for the blocks and the scalars."""
         h = rp.copy()
-        for g, x, sinv, corr, rd in zip(std.groups, it.X, sinvs, corrs, rds):
-            h -= np.einsum("kbij,bji->k", g.A, x_part(x, sinv, sigma_mu, corr, rd))
-        h -= std.G @ u_part(sigma_mu, corr_u, rd_u)
-        dy = np.linalg.solve(ms_chol.T, np.linalg.solve(ms_chol, h))
+        for A, x, sinv, corr, rd in zip(bt.A, bt.X, sinvs, corrs, rds):
+            h -= _adjoint_dot(A, x_part(x, sinv, smu_x, corr, rd))
+        h -= _mv(bt.G, u_part(smu_u, corr_u, rd_u))
+        dy = np.linalg.solve(ms_chol_t, np.linalg.solve(ms_chol, h[:, :, None]))[:, :, 0]
         dss, dxs = [], []
-        for g, x, sinv, corr, rd in zip(std.groups, it.X, sinvs, corrs, rds):
-            ds = rd - np.einsum("k,kbij->bij", dy, g.A)
+        for A, x, sinv, corr, rd in zip(bt.A, bt.X, sinvs, corrs, rds):
+            ds = rd - np.einsum("pk,pkbij->pbij", dy, A)
             dss.append(ds)
-            dxs.append(_sym(x_part(x, sinv, sigma_mu, corr, ds)))
-        dz = rd_u - std.G.T @ dy
-        du = u_part(sigma_mu, corr_u, dz)
+            dxs.append(_sym(x_part(x, sinv, smu_x, corr, ds)))
+        dz = rd_u - _mv(bt.G.swapaxes(1, 2), dy)
+        du = u_part(smu_u, corr_u, dz)
         return dy, dxs, dss, du, dz
 
-    uz = np.concatenate((it.u, it.z))
+    uz = np.concatenate((bt.u, bt.z), axis=1)
 
     def step_lengths(dxs, dss, du, dz, frac):
+        """Per problem (ap, ad), as Python floats."""
         steps = [
-            _max_steps(chol, np.concatenate((dx, ds)))
-            for chol, dx, ds in zip(it.chol, dxs, dss)
+            _max_steps(chol, np.concatenate((dx, ds), axis=1))
+            for chol, dx, ds in zip(bt.chol, dxs, dss)
         ]
-        su, sz = _max_step_vec(uz, np.concatenate((du, dz)))
-        ap = min(1.0, *[frac * sx for sx, _ in steps], frac * su)
-        ad = min(1.0, *[frac * ss for _, ss in steps], frac * sz)
+        vec = _max_step_vec(uz, np.concatenate((du, dz), axis=1))
+        ap = [min(1.0, *[frac * st[i][0] for st in steps], frac * vec[i][0]) for i in range(n)]
+        ad = [min(1.0, *[frac * st[i][1] for st in steps], frac * vec[i][1]) for i in range(n)]
         return ap, ad
 
-    dy_a, dxs_a, dss_a, du_a, dz_a = directions(0.0, [0.0] * len(it.X), 0.0)
-    ap, ad = step_lengths(dxs_a, dss_a, du_a, dz_a, 1.0)
-    comp_aff = sum(
-        float(np.einsum("bij,bij->", x + ap * dx, s + ad * ds))
-        for x, dx, s, ds in zip(it.X, dxs_a, it.S, dss_a)
-    ) + float((it.u + ap * du_a) @ (it.z + ad * dz_a))
-    mu_aff = comp_aff / std.cone_dim
-    sigma = min(1.0, max((mu_aff / mu) ** 3, 1e-10)) if mu > 0 else 0.1
+    dy_a, dxs_a, dss_a, du_a, dz_a = directions(0.0, 0.0, [0.0] * len(bt.X), 0.0)
+    ap, ad = (np.array(a) for a in step_lengths(dxs_a, dss_a, du_a, dz_a, 1.0))
+    ap4, ad4 = ap[:, None, None, None], ad[:, None, None, None]
+    comp_aff = _sum(
+        np.einsum("pbij,pbij->p", x + ap4 * dx, s + ad4 * ds)
+        for x, dx, s, ds in zip(bt.X, dxs_a, bt.S, dss_a)
+    ) + _dot(bt.u + ap[:, None] * du_a, bt.z + ad[:, None] * dz_a)
+    sigma_mu = []
+    for i, (c, m) in enumerate(zip(comp_aff.tolist(), mu)):
+        if i in broken:  # its direction is a placeholder; the cube could overflow
+            sigma_mu.append(0.0)
+            continue
+        mu_aff = c / bt.std.cone_dim
+        sigma = min(1.0, max((mu_aff / m) ** 3, 1e-10)) if m > 0 else 0.1
+        sigma_mu.append(sigma * m)
 
+    smu = np.array(sigma_mu)
     dy, dxs, dss, du, dz = directions(
-        sigma * mu, [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
+        smu[:, None, None, None], smu[:, None], [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
     )
     ap, ad = step_lengths(dxs, dss, du, dz, opts.step_frac)
-    if not (math.isfinite(ap) and math.isfinite(ad)) or ap <= 0 or ad <= 0:
-        return "degenerate step length"
+    for i, (p, d) in enumerate(zip(ap, ad)):
+        if not (math.isfinite(p) and math.isfinite(d)) or p <= 0 or d <= 0:
+            broken.setdefault(i, "degenerate step length")
+    rows = [i for i in range(n) if i not in broken]
+    for i in _advance(bt, rows, dy, dxs, dss, du, dz, np.array(ap), np.array(ad)):
+        broken[i] = "step could not maintain cone interiority"
+    return broken
 
-    # rounding in the boundary-step eigensolves can push the new iterate just
-    # outside the cone on ill-conditioned instances; back off until interior
-    for _ in range(30):
+
+def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
+    """Move the iterate of each row in `rows` by the steps (ap, ad).
+
+    Rounding in the boundary-step eigensolves can push the new iterate just
+    outside the cone on ill-conditioned instances, so a row whose new
+    iterate is not strictly interior halves its steps until it is.  All rows
+    are tried at once first; if any fails, each is retried on its own.
+    Returns the rows that found no interior iterate.
+    """
+    halves = [x.shape[1] for x in bt.X]
+
+    def trial(sel, a_p, a_d):
+        a_p4, a_d4 = a_p[:, None, None, None], a_d[:, None, None, None]
         stacks = [
-            _sym(np.concatenate((x + ap * dx, s + ad * ds)))
-            for x, dx, s, ds in zip(it.X, dxs, it.S, dss)
+            _sym(np.concatenate((x[sel] + a_p4 * dx[sel], s[sel] + a_d4 * ds[sel]), axis=1))
+            for x, dx, s, ds in zip(bt.X, dxs, bt.S, dss)
         ]
-        nu = it.u + ap * du
-        nz = it.z + ad * dz
+        nu = bt.u[sel] + a_p[:, None] * du[sel]
+        nz = bt.z[sel] + a_d[:, None] * dz[sel]
         chol = _cone_factors(stacks, (nu, nz))
-        if chol is not None:
-            halves = [len(x) for x in it.X]
-            it.X = [st[:h] for st, h in zip(stacks, halves)]
-            it.S = [st[h:] for st, h in zip(stacks, halves)]
-            it.u, it.z, it.chol = nu, nz, chol
-            it.y = it.y + ad * dy
-            return None
-        ap *= 0.5
-        ad *= 0.5
-    return "step could not maintain cone interiority"
+        return None if chol is None else (stacks, nu, nz, chol)
+
+    if len(rows) == len(ap):
+        got = trial(slice(None), ap, ad)
+        if got is not None:
+            stacks, bt.u, bt.z, bt.chol = got
+            bt.X = [st[:, :h] for st, h in zip(stacks, halves)]
+            bt.S = [st[:, h:] for st, h in zip(stacks, halves)]
+            bt.y = bt.y + ad[:, None] * dy
+            return []
+    stuck = []
+    for i in rows:
+        sel = slice(i, i + 1)
+        a_p, a_d = ap[sel], ad[sel]
+        for _ in range(30):
+            got = trial(sel, a_p, a_d)
+            if got is not None:
+                break
+            a_p, a_d = a_p * 0.5, a_d * 0.5
+        else:
+            stuck.append(i)
+            continue
+        stacks, nu, nz, chol = got
+        for g, (st, h) in enumerate(zip(stacks, halves)):
+            bt.X[g][i], bt.S[g][i], bt.chol[g][i] = st[0, :h], st[0, h:], chol[g][0]
+        bt.u[i], bt.z[i] = nu[0], nz[0]
+        bt.y[i] = bt.y[i] + a_d[0] * dy[i]
+    return stuck
 
 
-def _package(problem, std, it, status, n_iter, rel_p, rel_d, gap, detail, opts):
+def _package(problem, std, xs, u, status, n_iter, rel_p, rel_d, gap, detail, opts):
+    """The solution of one problem from its rows `xs` (per group) and `u`."""
     blocks = [None] * len(std.dims)
-    for g, xs in zip(std.groups, it.X):
+    for g, x in zip(std.groups, xs):
         for pos, b in enumerate(g.block_ids):
-            blocks[b] = _unembed(xs[pos])
-    scal = it.u[: std.n_scalars].copy()
+            blocks[b] = _unembed(x[pos])
+    scal = u[: std.n_scalars].copy()
     obj = 0.0
     for b, mat in problem.obj_blocks.items():
         obj += float(np.real(np.trace(np.asarray(mat, dtype=np.complex128) @ blocks[b])))

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from swiptcran.beamform import GroupDivision, PowerReport, SystemParams, unsolved_report
+from swiptcran.beamform import (
+    GroupDivision,
+    PowerReport,
+    SystemParams,
+    solve_division,
+    unsolved_report,
+)
 from swiptcran.division import DivisionRunResult, Instance, Termination
 from swiptcran.longterm import (
     TrainingFailure,
@@ -11,7 +17,7 @@ from swiptcran.longterm import (
     mask_fet_channels,
     training_stage,
 )
-from swiptcran.sdp import SdpStatus
+from swiptcran.sdp import BATCH_SIZE, SdpStatus
 from swiptcran.topology import (
     ChannelRealization,
     assigned_rrh,
@@ -217,8 +223,6 @@ class TestLongtermStage:
         h_et = ch.h_et.copy()
         h_et[:, [1, 3]] = 1e6 * (1.0 + 1.0j)
         garbled = ChannelRealization(h_id=ch.h_id, h_et=h_et)
-        from swiptcran.beamform import solve_division
-
         r1, _ = solve_division(topo, mask_fet_channels(ch, division), division, PARAMS)
         r2, _ = solve_division(topo, mask_fet_channels(garbled, division), division, PARAMS)
         np.testing.assert_array_equal(r1.p_op, r2.p_op)
@@ -245,3 +249,26 @@ class TestLongtermStage:
         for report in reports:
             assert not report.feasible
             assert np.isnan(report.objective)
+
+    @pytest.mark.parametrize("n_it", [3, 4])
+    def test_batched_slots_equal_solving_each_slot(self, n_it):
+        # more slots than two batches hold, so chunk boundaries are crossed;
+        # at 4 ITs every slot is certified infeasible
+        topo = generate_topology(seed=3, n_rrh=3, n_it=n_it, n_et=5)
+        division = GroupDivision(5, frozenset({1, 4}))
+        q = 2 * BATCH_SIZE + 3
+        reports = longterm_stage(topo, seed=8, division=division, q_longterm=q)
+        assert len(reports) == q
+        for slot, report in enumerate(reports):
+            channels = mask_fet_channels(draw_channels(topo, seed=8, slot=slot), division)
+            alone, _ = solve_division(topo, channels, division, PARAMS)
+            np.testing.assert_array_equal(report.p_op, alone.p_op)
+            np.testing.assert_array_equal(report.p_pu, alone.p_pu)
+            np.testing.assert_array_equal(report.ranges, alone.ranges)
+            assert report.status == alone.status
+            if n_it == 4:
+                assert report.status is SdpStatus.INFEASIBLE
+                assert np.isnan(report.objective) and np.isnan(alone.objective)
+            else:
+                assert report.status is SdpStatus.OPTIMAL
+                assert report.objective == alone.objective

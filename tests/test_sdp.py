@@ -9,6 +9,7 @@ except ImportError:  # numpy < 2
     from numpy.core import einsumfunc
 
 from oracles import oracle_instance
+from swiptcran import sdp as sdp_module
 from swiptcran.beamform import GroupDivision, SystemParams, build_sdp
 from swiptcran.sdp import (
     SdpConstraint,
@@ -19,8 +20,10 @@ from swiptcran.sdp import (
     dump_problem,
     load_problem,
     solve,
+    solve_batch,
     verify,
 )
+from swiptcran.longterm import mask_fet_channels
 from swiptcran.topology import draw_channels, generate_topology
 
 
@@ -266,6 +269,170 @@ class TestCallCounts:
         # min tr(X) s.t. tr(A X) = 1 is 1 / lambda_max(A)
         assert sol.objective_value == pytest.approx(1.0 / np.linalg.eigvalsh(a).max(), rel=1e-7)
         assert sol.objective_value == pytest.approx(0.45308183946793706, rel=1e-12)
+
+
+def _assert_same_solution(got, alone):
+    """Bit-for-bit equality of two solutions of one problem."""
+    assert got.status is alone.status
+    assert got.detail == alone.detail
+    assert got.iterations == alone.iterations
+    assert got.objective_value == alone.objective_value
+    assert (got.primal_residual, got.dual_residual, got.duality_gap) == (
+        alone.primal_residual,
+        alone.dual_residual,
+        alone.duality_gap,
+    )
+    np.testing.assert_array_equal(got.scalar_values, alone.scalar_values)
+    assert len(got.block_values) == len(alone.block_values)
+    for w, w_alone in zip(got.block_values, alone.block_values):
+        np.testing.assert_array_equal(w, w_alone)
+
+
+def _two_equality_rows(cost, rows):
+    """min tr(cost X) over one 2x2 block s.t. tr(m X) = r for each (m, r) in rows."""
+    return SdpProblem(
+        (2,), 0, {0: cost}, {}, tuple(SdpConstraint({0: m}, {}, "=", r) for m, r in rows)
+    )
+
+
+def _mixed_outcome_batch():
+    eye = np.eye(2, dtype=complex)
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    e22 = np.diag([0.0, 1.0]).astype(complex)
+    off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    return [
+        _two_equality_rows(eye, [(e11, 1.0), (e22, 2.0)]),  # Optimal, value 3
+        _two_equality_rows(eye, [(eye, 1.0), (eye, 2.0)]),  # Farkas-certified Infeasible
+        # a pins X_11 and Re X_12 only, so X_22 grows along a ray of cost -1
+        _two_equality_rows(np.diag([1.0, -1.0]).astype(complex), [(e11, 1.0), (off, 0.0)]),
+        # the same row twice: the Schur matrix is singular and needs jitter
+        _two_equality_rows(eye, [(a, 1.0), (a, 1.0)]),
+        _two_equality_rows(eye, [(e11, 2.0), (off, 0.5)]),  # Optimal
+    ]
+
+
+class TestSolveBatch:
+    @pytest.mark.parametrize(
+        "max_iters, statuses",
+        [
+            (100, ["Optimal", "Infeasible", "Unbounded", "Optimal", "Optimal"]),
+            (5, ["MaxIterations", "Infeasible", "Unbounded", "MaxIterations", "MaxIterations"]),
+        ],
+    )
+    def test_mixed_outcomes_match_solving_alone(self, monkeypatch, max_iters, statuses):
+        opts = SolverOptions(max_iters=max_iters)
+        problems = _mixed_outcome_batch()
+        alone = [solve(p, opts) for p in problems]
+        failed = []
+        cholesky = np.linalg.cholesky
+
+        def counted_cholesky(m):
+            try:
+                return cholesky(m)
+            except np.linalg.LinAlgError:
+                failed.append(m.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        batch = solve_batch(problems, opts)
+        assert [s.status.value for s in batch] == statuses
+        assert batch[1].detail.startswith("Farkas")
+        if max_iters == 100:
+            assert failed  # the jitter instance's Schur factorization was retried
+        for got, one in zip(batch, alone):
+            _assert_same_solution(got, one)
+
+    def test_a_schur_breakdown_ends_only_its_problem(self, monkeypatch):
+        # let every Schur matrix that needs jitter break down instead: the
+        # repeated-row problem ends at its first Schur failure and the rest
+        # of the batch carries on as if solved alone
+        factor_one = sdp_module._factor_one
+
+        def no_jitter(m):
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                return None
+            return factor_one(m)
+
+        monkeypatch.setattr(sdp_module, "_factor_one", no_jitter)
+        problems = _mixed_outcome_batch()
+        batch = solve_batch(problems)
+        assert batch[3].status is SdpStatus.MAX_ITERATIONS
+        assert batch[3].detail == "numerical breakdown: Schur complement factorization failed"
+        for got, problem in zip(batch, problems):
+            _assert_same_solution(got, solve(problem))
+
+    def test_oracle_variants_match_solving_alone(self):
+        # the oracle family has groups of one block, where the batched
+        # contraction would round differently from a problem solved alone
+        for seed in range(4):
+            base = oracle_instance(seed)[0]
+            problems = [
+                SdpProblem(
+                    base.block_dims,
+                    base.n_scalars,
+                    {b: (1.0 + 0.1 * k) * m for b, m in base.obj_blocks.items()},
+                    base.obj_scalars,
+                    tuple(
+                        SdpConstraint(c.blocks, c.scalars, c.sense, (1.0 + 0.3 * k) * c.rhs)
+                        for c in base.constraints
+                    ),
+                )
+                for k in range(5)
+            ]
+            for got, problem in zip(solve_batch(problems), problems):
+                _assert_same_solution(got, solve(problem))
+
+    @pytest.mark.parametrize("change", ["block_dims", "n_scalars", "sense"])
+    def test_problems_of_another_structure_are_rejected(self, change):
+        eye = np.eye(2, dtype=complex)
+        first = SdpProblem((2,), 1, {0: eye}, {0: 1.0}, (SdpConstraint({0: eye}, {0: 1.0}, ">=", 1.0),))
+        other = {
+            "block_dims": SdpProblem(
+                (3,), 1, {0: np.eye(3)}, {0: 1.0}, (SdpConstraint({0: np.eye(3)}, {0: 1.0}, ">=", 1.0),)
+            ),
+            "n_scalars": SdpProblem(
+                (2,), 2, {0: eye}, {0: 1.0}, (SdpConstraint({0: eye}, {0: 1.0}, ">=", 1.0),)
+            ),
+            "sense": SdpProblem((2,), 1, {0: eye}, {0: 1.0}, (SdpConstraint({0: eye}, {0: 1.0}, "<=", 1.0),)),
+        }[change]
+        with pytest.raises(ValueError, match="a batch needs"):
+            solve_batch([first, other])
+
+    def test_empty_batch(self):
+        assert solve_batch([]) == []
+
+    def test_a_batch_shares_each_factorization_call(self, monkeypatch):
+        # 16 long-term slots at 3/3/7 run as one batch: each iteration
+        # factors all cone stacks in one call and all Schur matrices in
+        # another, so a solver that looped over problems would fail this
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        division = GroupDivision(7, frozenset({0, 3, 5}))
+        problems = [
+            build_sdp(
+                topo, mask_fet_channels(draw_channels(topo, seed=5, slot=slot), division), division,
+                SystemParams(),
+            )
+            for slot in range(16)
+        ]
+        counts = {"cholesky": 0, "cholesky_failed": 0}
+        cholesky = np.linalg.cholesky
+
+        def counted_cholesky(a):
+            counts["cholesky"] += 1
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                counts["cholesky_failed"] += 1
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        solutions = solve_batch(problems)
+        assert all(s.status is SdpStatus.OPTIMAL for s in solutions)
+        iters = max(s.iterations for s in solutions)
+        assert counts["cholesky"] <= 2 * iters + 1 + counts["cholesky_failed"]
 
 
 class TestScalingCovariance:
