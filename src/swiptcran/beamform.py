@@ -449,15 +449,16 @@ def solve_division(
 
 def solve_division_batch(
     topology,
-    draws,
-    division: GroupDivision,
+    requests,
     params: SystemParams,
     options: SolverOptions | None = None,
 ) -> list[PowerReport]:
-    """Solve one division on each channel draw of the iterable `draws`, as
+    """Solve each (channels, division) pair of the iterable `requests` as
     one `solve_batch`, which builds the SDPs a batch at a time.
 
-    Report i equals the report `solve_division` gives for the i-th draw.
+    Every division of one topology gives the same SDP structure, so the
+    pairs may mix divisions.  Report i equals the report `solve_division`
+    gives for the i-th pair.
     """
-    problems = (build_sdp(topology, channels, division, params) for channels in draws)
+    problems = (build_sdp(topology, channels, division, params) for channels, division in requests)
     return [_division_report(topology, sol, params) for sol in solve_batch(problems, options)]

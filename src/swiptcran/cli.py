@@ -76,24 +76,8 @@ def _report_fields(report: PowerReport) -> dict[str, str]:
 
 
 def _base_row(config: ExperimentConfig, **overrides) -> dict[str, str]:
-    row = {
-        "config_hash": config.config_hash(),
-        "mode": config.mode,
-        "trial": "0",
-        "slot": "0",
-        "sweep_param": "",
-        "sweep_value": "",
-        "algorithm": "",
-        "status": "",
-        "objective_mw": "",
-        "p_op_total_mw": "",
-        "p_pu_total_mw": "",
-        "division_bitmask": "",
-        "iterations": "",
-        "termination": "",
-        "solve_ms": "",
-        "stage": "",
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(config_hash=config.config_hash(), mode=config.mode, trial="0", slot="0")
     row.update({k: str(v) for k, v in overrides.items()})
     return row
 
@@ -259,18 +243,18 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
             "all-fet": GroupDivision.all_fet(config.n_et),
             "all-met": GroupDivision.all_met(config.n_et),
         }
-        for variant, division in divisions.items():
-            start = time.perf_counter()
-            reports = longterm_stage(
-                topology,
-                lt_seed,
-                division,
-                config.q_longterm,
-                params=config.params,
-                options=config.solver,
-            )
-            ms = (time.perf_counter() - start) * 1e3
-            per_slot = ms / max(1, config.q_longterm)
+        start = time.perf_counter()
+        stage = longterm_stage(
+            topology,
+            lt_seed,
+            list(divisions.values()),
+            config.q_longterm,
+            params=config.params,
+            options=config.solver,
+        )
+        ms = (time.perf_counter() - start) * 1e3
+        per_slot = ms / max(1, len(divisions) * config.q_longterm)
+        for (variant, division), reports in zip(divisions.items(), stage):
             running = 0.0
             for slot, report in enumerate(reports):
                 row = _base_row(

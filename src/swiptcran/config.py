@@ -59,6 +59,8 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHM_CHOICES:
                 raise ConfigError(f"unknown algorithm {a!r}; choices {ALGORITHM_CHOICES}")
+        if not self.algorithms or len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigError(f"run.algorithms must be nonempty without repeats, got {self.algorithms!r}")
         if self.n_rrh < 1 or self.n_it < 1 or self.n_et < 0:
             raise ConfigError("topology counts out of range")
         if not self.inter_rrh_distance > 0:

@@ -132,27 +132,31 @@ def training_stage(
 def longterm_stage(
     topology,
     seed: int,
-    division: GroupDivision,
+    divisions: list[GroupDivision],
     q_longterm: int,
     params: SystemParams | None = None,
     options: SolverOptions | None = None,
-) -> list[PowerReport]:
-    """Run `q_longterm` slots under a frozen division with silent FETs.
+) -> list[list[PowerReport]]:
+    """Run `q_longterm` slots under each frozen division of `divisions`,
+    with silent FETs; returns one list of slot reports per entry, in order.
 
-    Frozen FET channel columns are zeroed before each build: their floors
-    are geometric, so results cannot depend on what those ETs would have
-    reported.  Every slot has the same SDP structure, so the slots are
-    solved together as one batch; each report equals what `solve_division`
-    gives for its slot alone.  Unsolved slots yield NaN reports with
-    `feasible` false and the solver's status (`Infeasible` or
-    `MaxIterations`) in `status`.
+    Each slot is drawn once and shared by every division.  Frozen FET
+    channel columns are zeroed before each build: their floors are
+    geometric, so results cannot depend on what those ETs would have
+    reported.  Each distinct division is solved once, and every (slot,
+    division) problem of the stage goes to one batch; each report equals
+    what `solve_division` gives for its slot alone.  Unsolved slots yield
+    NaN reports with `feasible` false and the solver's status
+    (`Infeasible` or `MaxIterations`) in `status`.
     """
     if q_longterm < 0:
         raise ValueError("q_longterm must be nonnegative")
     params = params or SystemParams()
-    division.validate_for(topology.n_et)
-    draws = (
-        mask_fet_channels(draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs), division)
-        for slot in range(q_longterm)
-    )
-    return solve_division_batch(topology, draws, division, params, options)
+    distinct = list(dict.fromkeys(divisions))
+    for division in distinct:
+        division.validate_for(topology.n_et)
+    draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
+    requests = ((mask_fet_channels(ch, division), division) for division in distinct for ch in draws)
+    reports = solve_division_batch(topology, requests, params, options)
+    by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
+    return [by_division[d] for d in divisions]

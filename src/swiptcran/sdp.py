@@ -223,100 +223,18 @@ def _unembed(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # standard-form assembly
 
-class _Group:
-    """All PSD blocks sharing one embedded dimension, stacked for batched math."""
+def _layout(problem: SdpProblem) -> tuple[list, dict]:
+    """The PSD blocks grouped by embedded dimension, ascending.
 
-    def __init__(self, dim: int, block_ids: list):
-        self.dim = dim
-        self.block_ids = block_ids
-        self.A = None  # (K, B, n, n) embedded constraint coefficients
-        self.C = None  # (B, n, n) embedded objective coefficients
-
-
-class _StdForm:
-    """Equality-form data: A(X) + G u = r, X PSD blocks, u >= 0 (scalars+slacks).
-
-    `cleaned` is what `problem.validate()` returned.
+    Returns the groups as (embedded dimension, block ids) and each block's
+    (group, position in group).  Problems of one structure share a layout.
     """
-
-    def __init__(self, problem: SdpProblem, cleaned: tuple[dict, tuple]):
-        dims = tuple(int(d) for d in problem.block_dims)
-        n_blocks = len(dims)
-        cons = problem.constraints
-        k_total = len(cons)
-        n_scalars = problem.n_scalars
-        ineq = [k for k, c in enumerate(cons) if c.sense in (">=", "<=")]
-        self.n_slack = len(ineq)
-        self.n_u = n_scalars + self.n_slack
-        self.n_scalars = n_scalars
-        self.k_total = k_total
-        self.dims = dims
-
-        by_dim = {}
-        for b, d in enumerate(dims):
-            by_dim.setdefault(2 * d, []).append(b)
-        self.groups = []
-        for n_emb in sorted(by_dim):
-            g = _Group(n_emb, by_dim[n_emb])
-            bsz = len(g.block_ids)
-            g.A = np.zeros((k_total, bsz, n_emb, n_emb))
-            g.C = np.zeros((bsz, n_emb, n_emb))
-            self.groups.append(g)
-        self.group_of_block = {}
-        self.pos_in_group = {}
-        for gi, g in enumerate(self.groups):
-            for p, b in enumerate(g.block_ids):
-                self.group_of_block[b] = gi
-                self.pos_in_group[b] = p
-
-        obj_blocks, con_blocks = cleaned
-        for b, mat in obj_blocks.items():
-            g = self.groups[self.group_of_block[b]]
-            g.C[self.pos_in_group[b]] = _embed(mat) / 2.0
-
-        self.G = np.zeros((k_total, self.n_u))
-        self.c_u = np.zeros(self.n_u)
-        for j, v in problem.obj_scalars.items():
-            self.c_u[j] = float(v)
-        self.r = np.zeros(k_total)
-        slack_col = n_scalars
-        for k, con in enumerate(cons):
-            for b, mat in con_blocks[k].items():
-                g = self.groups[self.group_of_block[b]]
-                g.A[k, self.pos_in_group[b]] = _embed(mat) / 2.0
-            for j, v in con.scalars.items():
-                self.G[k, j] = float(v)
-            self.r[k] = float(con.rhs)
-            if con.sense == ">=":
-                self.G[k, slack_col] = -1.0
-                slack_col += 1
-            elif con.sense == "<=":
-                self.G[k, slack_col] = 1.0
-                slack_col += 1
-
-        # row scaling: unit-norm constraint rows; primal solution is invariant
-        sq = np.einsum("kbij,kbij->k", self.groups[0].A, self.groups[0].A) if self.groups else np.zeros(k_total)
-        for g in self.groups[1:]:
-            sq = sq + np.einsum("kbij,kbij->k", g.A, g.A)
-        sq = sq + np.einsum("kj,kj->k", self.G, self.G)
-        norms = np.sqrt(sq)
-        self.row_scale = 1.0 / np.maximum(norms, 1e-12)
-        self.row_scale[norms == 0.0] = 1.0
-        for g in self.groups:
-            g.A *= self.row_scale[:, None, None, None]
-        self.G = self.G * self.row_scale[:, None]
-        self.r = self.r * self.row_scale
-
-        # objective normalization: unit-norm cost; restores on report
-        csq = sum(float(np.sum(g.C * g.C)) for g in self.groups) + float(
-            self.c_u @ self.c_u
-        )
-        self.obj_scale = max(math.sqrt(csq), 1e-12)
-        for g in self.groups:
-            g.C = g.C / self.obj_scale
-        self.c_u = self.c_u / self.obj_scale
-
-        self.cone_dim = sum(g.dim * len(g.block_ids) for g in self.groups) + self.n_u
+    by_dim = {}
+    for b, d in enumerate(problem.block_dims):
+        by_dim.setdefault(2 * int(d), []).append(b)
+    groups = [(n_emb, by_dim[n_emb]) for n_emb in sorted(by_dim)]
+    where = {b: (g, pos) for g, (_, ids) in enumerate(groups) for pos, b in enumerate(ids)}
+    return groups, where
 
 
 def _sym(a):
@@ -421,46 +339,92 @@ class _Batch:
     """Standard forms of same-structure problems and their primal-dual
     iterates, stacked on a leading problem axis.
 
-    `std` is the first problem's standard form; the batch reads only its
-    structure (groups, sizes).  `ids` maps each row back to its problem.
-    `chol[g]` holds the Cholesky factors of group g's stacks (X, S).
+    Row p holds problem p in equality form: A(X) + G u = r, X PSD blocks,
+    u >= 0 (scalars, then one slack per inequality).  `groups` is the shared
+    layout from `_layout`, and `A[g]`, `C[g]`, `X[g]`, `S[g]` are group g's
+    stacks.  `ids` maps each row back to its problem.  `chol[g]` holds the
+    Cholesky factors of group g's stacks (X, S).
     """
 
-    def __init__(self, stds: list):
-        self.std = std = stds[0]
-        n, n_groups = len(stds), len(std.groups)
-        self.A = [np.array([s.groups[g].A for s in stds]) for g in range(n_groups)]
-        self.C = [np.array([s.groups[g].C for s in stds]) for g in range(n_groups)]
-        self.G = np.array([s.G for s in stds])
-        self.c_u = np.array([s.c_u for s in stds])
-        self.r = np.array([s.r for s in stds])
-        self.r_norm = np.array([np.linalg.norm(s.r) for s in stds])
+    def __init__(self, problems: list, cleaned: list):
+        """`cleaned[p]` is what `problems[p].validate()` returned."""
+        first = problems[0]
+        self.groups, where = _layout(first)
+        self.k_total = k_total = len(first.constraints)
+        self.n_u = first.n_scalars + sum(c.sense != "=" for c in first.constraints)
+        self.cone_dim = sum(dim * len(ids) for dim, ids in self.groups) + self.n_u
+        n = len(problems)
+        self.A = [np.zeros((n, k_total, len(ids), dim, dim)) for dim, ids in self.groups]
+        self.C = [np.zeros((n, len(ids), dim, dim)) for dim, ids in self.groups]
+        self.G = np.zeros((n, k_total, self.n_u))
+        self.c_u = np.zeros((n, self.n_u))
+        self.r = np.zeros((n, k_total))
+        for p, (problem, (obj_blocks, con_blocks)) in enumerate(zip(problems, cleaned)):
+            for b, mat in obj_blocks.items():
+                g, pos = where[b]
+                self.C[g][p, pos] = _embed(mat) / 2.0
+            for j, v in problem.obj_scalars.items():
+                self.c_u[p, j] = float(v)
+            slack_col = problem.n_scalars
+            for k, con in enumerate(problem.constraints):
+                for b, mat in con_blocks[k].items():
+                    g, pos = where[b]
+                    self.A[g][p, k, pos] = _embed(mat) / 2.0
+                for j, v in con.scalars.items():
+                    self.G[p, k, j] = float(v)
+                self.r[p, k] = float(con.rhs)
+                if con.sense != "=":
+                    self.G[p, k, slack_col] = -1.0 if con.sense == ">=" else 1.0
+                    slack_col += 1
+            self._normalize(p)
+        self.r_norm = np.array([np.linalg.norm(r) for r in self.r])
         self.ids = np.arange(n)
 
         self.X, self.S = [], []
-        for grp, a, c in zip(std.groups, self.A, self.C):
+        for (dim, ids), a, c in zip(self.groups, self.A, self.C):
             an = np.sqrt(np.einsum("pkbij,pkbij->pkb", a, a))  # (P, K, B)
             cn = np.sqrt(np.einsum("pbij,pbij->pb", c, c))
-            if std.k_total:
+            if k_total:
                 xi = np.maximum(
                     10.0,
-                    grp.dim * ((1.0 + np.abs(self.r))[:, :, None] / (1.0 + an)).max(axis=1),
+                    dim * ((1.0 + np.abs(self.r))[:, :, None] / (1.0 + an)).max(axis=1),
                 )
                 eta = np.maximum(10.0, np.maximum(cn, an.max(axis=1)))
             else:
-                xi = np.full((n, len(grp.block_ids)), 10.0)
+                xi = np.full((n, len(ids)), 10.0)
                 eta = np.maximum(10.0, cn)
-            xi = np.maximum(xi, math.sqrt(grp.dim))
-            eye = np.eye(grp.dim)
+            xi = np.maximum(xi, math.sqrt(dim))
+            eye = np.eye(dim)
             self.X.append(xi[:, :, None, None] * eye)
             self.S.append(eta[:, :, None, None] * eye)
-        ru = np.abs(self.r).max(axis=1) if std.k_total else np.zeros(n)
-        cu = np.abs(self.c_u).max(axis=1) if std.n_u else np.zeros(n)
-        ones = np.ones((n, std.n_u))
+        ru = np.abs(self.r).max(axis=1) if k_total else np.zeros(n)
+        cu = np.abs(self.c_u).max(axis=1) if self.n_u else np.zeros(n)
+        ones = np.ones((n, self.n_u))
         self.u = ones * np.maximum(10.0, ru)[:, None]
         self.z = ones * np.maximum(10.0, cu)[:, None]
-        self.y = np.zeros((n, std.k_total))
+        self.y = np.zeros((n, k_total))
         self.chol = [np.linalg.cholesky(np.concatenate((x, s), axis=1)) for x, s in zip(self.X, self.S)]
+
+    def _normalize(self, p: int) -> None:
+        """Scale row p in place.  Each expression runs on that problem's own
+        contiguous views, so it rounds as it does for a batch of one."""
+        a, c = [A[p] for A in self.A], [C[p] for C in self.C]
+        # row scaling: unit-norm constraint rows; primal solution is invariant
+        sq = _sum(np.einsum("kbij,kbij->k", ag, ag) for ag in a)
+        norms = np.sqrt(sq + np.einsum("kj,kj->k", self.G[p], self.G[p]))
+        row_scale = 1.0 / np.maximum(norms, 1e-12)
+        row_scale[norms == 0.0] = 1.0
+        for ag in a:
+            ag *= row_scale[:, None, None, None]
+        self.G[p] *= row_scale[:, None]
+        self.r[p] *= row_scale
+
+        # objective normalization: unit-norm cost; restores on report
+        csq = sum(float(np.sum(cg * cg)) for cg in c) + float(self.c_u[p] @ self.c_u[p])
+        obj_scale = max(math.sqrt(csq), 1e-12)
+        for cg in c:
+            cg /= obj_scale
+        self.c_u[p] /= obj_scale
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not selected by the boolean mask `rows`."""
@@ -531,7 +495,7 @@ def _residuals(bt: _Batch):
     stats = [
         # cost data has unit norm after objective normalization, so the
         # relative dual residual denominator 1 + |C| is exactly 2
-        (pobj, comp / bt.std.cone_dim, math.sqrt(rp2) / (1.0 + r_norm), math.sqrt(rd2) / 2.0,
+        (pobj, comp / bt.cone_dim, math.sqrt(rp2) / (1.0 + r_norm), math.sqrt(rd2) / 2.0,
          abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj)))
         for pobj, dobj, comp, rp2, rd2, r_norm in zip(*(v.tolist() for v in sums))
     ]
@@ -539,7 +503,7 @@ def _residuals(bt: _Batch):
 
 
 def _solve_chunk(problems, cleaned, opts):
-    bt = _Batch([_StdForm(p, c) for p, c in zip(problems, cleaned)])
+    bt = _Batch(problems, cleaned)
     results = [None] * len(problems)
 
     def finish(ends, n_iter, rp, rds, rd_u, stats):
@@ -549,7 +513,7 @@ def _solve_chunk(problems, cleaned, opts):
         for i, (status, detail) in ends.items():
             p = bt.ids[i]
             results[p] = _package(
-                problems[p], bt.std, [x[i] for x in bt.X], bt.u[i], status, n_iter,
+                problems[p], bt.groups, [x[i] for x in bt.X], bt.u[i], status, n_iter,
                 *stats[i][2:], detail, opts,
             )
         if len(ends) == len(stats):
@@ -621,7 +585,7 @@ def _infeasibility_certificates(bt: _Batch, skip) -> dict:
         zb = np.einsum("pk,pkbij->pbij", yn, A[sel])
         top = np.linalg.eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
         worst = [max(w, t) for w, t in zip(worst, top)]
-    if bt.std.n_u:
+    if bt.n_u:
         gvs = _mv(bt.G[sel].swapaxes(1, 2), yn).max(axis=1).tolist()
     else:
         gvs = [-math.inf] * len(rows)
@@ -642,7 +606,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list, opts) -> dict:
     Returns {row: error} for the problems that broke down; those keep their
     iterate.
     """
-    k_total = bt.std.k_total
+    k_total = bt.k_total
     n = len(mu)
     sinvs, ms = [], np.zeros((n, k_total, k_total))
     for A, x, chol in zip(bt.A, bt.X, bt.chol):
@@ -713,7 +677,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list, opts) -> dict:
         if i in broken:  # its direction is a placeholder; the cube could overflow
             sigma_mu.append(0.0)
             continue
-        mu_aff = c / bt.std.cone_dim
+        mu_aff = c / bt.cone_dim
         sigma = min(1.0, max((mu_aff / m) ** 3, 1e-10)) if m > 0 else 0.1
         sigma_mu.append(sigma * m)
 
@@ -781,13 +745,14 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
     return stuck
 
 
-def _package(problem, std, xs, u, status, n_iter, rel_p, rel_d, gap, detail, opts):
-    """The solution of one problem from its rows `xs` (per group) and `u`."""
-    blocks = [None] * len(std.dims)
-    for g, x in zip(std.groups, xs):
-        for pos, b in enumerate(g.block_ids):
+def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail, opts):
+    """The solution of one problem from its rows `xs` (per group of the
+    layout `groups`) and `u`."""
+    blocks = [None] * len(problem.block_dims)
+    for (_, ids), x in zip(groups, xs):
+        for pos, b in enumerate(ids):
             blocks[b] = _unembed(x[pos])
-    scal = u[: std.n_scalars].copy()
+    scal = u[: problem.n_scalars].copy()
     obj = 0.0
     for b, mat in problem.obj_blocks.items():
         obj += float(np.real(np.trace(np.asarray(mat, dtype=np.complex128) @ blocks[b])))

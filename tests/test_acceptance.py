@@ -250,12 +250,12 @@ def test_criterion_6_longterm_cumulative_trend():
             "all-met": GroupDivision.all_met(7),
             "all-fet": GroupDivision.all_fet(7),
         }
+        stage = longterm_stage(
+            topo, seed=2000 + trial, divisions=list(divisions.values()), q_longterm=q_longterm,
+            params=PARAMS,
+        )
         cums = {}
-        for name, division in divisions.items():
-            reports = longterm_stage(
-                topo, seed=2000 + trial, division=division, q_longterm=q_longterm,
-                params=PARAMS,
-            )
+        for name, reports in zip(divisions, stage):
             cums[name] = sum(r.objective for r in reports if r.feasible)
             if name == "all-fet":
                 all_fet_slots += len(reports)
@@ -297,7 +297,7 @@ def test_criterion_8_fet_csi_isolation(monkeypatch):
     division = training.frozen_division
     assert division.fet_set, "frozen division has no FETs; pick another seed"
 
-    baseline = longterm_stage(topo, seed=2003, division=division, q_longterm=10, params=PARAMS)
+    (baseline,) = longterm_stage(topo, seed=2003, divisions=[division], q_longterm=10, params=PARAMS)
 
     real_draw = lt.draw_channels
 
@@ -309,7 +309,7 @@ def test_criterion_8_fet_csi_isolation(monkeypatch):
         return ChannelRealization(h_id=ch.h_id, h_et=h_et)
 
     monkeypatch.setattr(lt, "draw_channels", garbled_draw)
-    garbled = longterm_stage(topo, seed=2003, division=division, q_longterm=10, params=PARAMS)
+    (garbled,) = longterm_stage(topo, seed=2003, divisions=[division], q_longterm=10, params=PARAMS)
 
     monkeypatch.setattr(
         lt, "draw_channels",
@@ -317,7 +317,7 @@ def test_criterion_8_fet_csi_isolation(monkeypatch):
             real_draw(topology, seed, slot, alpha_abs), division
         ),
     )
-    prezeroed = longterm_stage(topo, seed=2003, division=division, q_longterm=10, params=PARAMS)
+    (prezeroed,) = longterm_stage(topo, seed=2003, divisions=[division], q_longterm=10, params=PARAMS)
 
     for other in (garbled, prezeroed):
         assert len(other) == len(baseline)

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+import swiptcran.beamform as beamform
 import swiptcran.cli as cli
 from swiptcran.cli import (
     CSV_COLUMNS,
@@ -137,6 +138,18 @@ class TestMainSingleSlot:
         assert "config error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithms", ["all-met,all-met", ""])
+    def test_repeated_or_empty_algorithms_exit_before_any_trial(
+        self, small_conf, tmp_path, capsys, algorithms
+    ):
+        # a repeat would count each trial twice in the summary; none would write no rows
+        out = tmp_path / "o.csv"
+        assert main(
+            ["single-slot", "--config", small_conf, "--out", str(out), "--algorithms", algorithms]
+        ) == 1
+        assert "run.algorithms must be nonempty without repeats" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -253,6 +266,41 @@ class TestLongterm:
         assert any("cumulative" in line for line in summary)
         variants_seen = {r["algorithm"] for r in longterm}
         assert variants_seen == set(cli.LONGTERM_VARIANTS)
+
+    def test_frozen_baseline_division_is_solved_once(self, monkeypatch):
+        # master seed 1 (the first of seeds 0-11 at this config to do so)
+        # freezes bitmask 7, which is all-FET for 3 ETs
+        config = load_config(None, {
+            "run.mode": "longterm", "topology.n_it": 3, "topology.n_et": 3, "run.n_trials": 1,
+            "run.seed": 1, "run.q_training": 2, "run.q_longterm": 2,
+        })
+        # one entry per SDP built while the long-term stage runs
+        in_stage, stage_builds = [], []
+        real_build, real_stage = beamform.build_sdp, cli.longterm_stage
+
+        def build(*args, **kwargs):
+            stage_builds.extend(in_stage)
+            return real_build(*args, **kwargs)
+
+        def stage(*args, **kwargs):
+            in_stage.append(True)
+            try:
+                return real_stage(*args, **kwargs)
+            finally:
+                in_stage.pop()
+
+        monkeypatch.setattr(beamform, "build_sdp", build)
+        monkeypatch.setattr(cli, "longterm_stage", stage)
+        rows, _ = cli.run_longterm(config)
+        assert rows[0]["division_bitmask"] == "7"
+        assert len(stage_builds) == 2 * config.q_longterm
+
+        def variant_rows(name):
+            return [
+                {k: v for k, v in r.items() if k != "algorithm"} for r in rows if r["algorithm"] == name
+            ]
+
+        assert variant_rows("frozen-hybrid") == variant_rows("all-fet")
 
     def test_not_converged_training_is_not_infeasible(self, tmp_path):
         conf = tmp_path / "lt_capped.conf"

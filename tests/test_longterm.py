@@ -181,23 +181,23 @@ class TestTrainingStage:
 class TestLongtermStage:
     def test_zero_slots(self):
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
-        assert longterm_stage(topo, seed=0, division=GroupDivision.all_met(4), q_longterm=0) == []
+        assert longterm_stage(topo, seed=0, divisions=[GroupDivision.all_met(4)], q_longterm=0) == [[]]
 
     def test_negative_slots_rejected(self):
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
         with pytest.raises(ValueError):
-            longterm_stage(topo, seed=0, division=GroupDivision.all_met(4), q_longterm=-1)
+            longterm_stage(topo, seed=0, divisions=[GroupDivision.all_met(4)], q_longterm=-1)
 
     def test_division_must_partition(self):
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
         with pytest.raises(ValueError):
-            longterm_stage(topo, seed=0, division=GroupDivision.all_met(3), q_longterm=1)
+            longterm_stage(topo, seed=0, divisions=[GroupDivision.all_met(3)], q_longterm=1)
 
     def test_slot_count_and_determinism(self):
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=4)
         division = GroupDivision(4, frozenset({1, 3}))
-        a = longterm_stage(topo, seed=4, division=division, q_longterm=3)
-        b = longterm_stage(topo, seed=4, division=division, q_longterm=3)
+        (a,) = longterm_stage(topo, seed=4, divisions=[division], q_longterm=3)
+        (b,) = longterm_stage(topo, seed=4, divisions=[division], q_longterm=3)
         assert len(a) == 3
         for ra, rb in zip(a, b):
             np.testing.assert_array_equal(ra.p_op, rb.p_op)
@@ -208,8 +208,8 @@ class TestLongtermStage:
         division = GroupDivision.all_met(4)
         objectives = [
             longterm_stage(
-                topo, seed=4, division=division, q_longterm=1, params=SystemParams(alpha_abs=a)
-            )[0].objective
+                topo, seed=4, divisions=[division], q_longterm=1, params=SystemParams(alpha_abs=a)
+            )[0][0].objective
             for a in (2.5, 3.0)
         ]
         assert np.isfinite(objectives).all()
@@ -232,7 +232,7 @@ class TestLongtermStage:
         # every feasible slot must keep each frozen FET inside its RRH's range
         topo = generate_topology(seed=11, n_rrh=3, n_it=3, n_et=5)
         division = GroupDivision(5, frozenset({1, 3}))
-        reports = longterm_stage(topo, seed=4, division=division, q_longterm=3)
+        (reports,) = longterm_stage(topo, seed=4, divisions=[division], q_longterm=3)
         for report in reports:
             if not report.feasible:
                 continue
@@ -242,8 +242,8 @@ class TestLongtermStage:
 
     def test_infeasible_slots_reported_as_nan(self):
         topo = generate_topology(seed=0, n_rrh=3, n_it=4, n_et=7)
-        reports = longterm_stage(
-            topo, seed=0, division=GroupDivision.all_met(7), q_longterm=2
+        (reports,) = longterm_stage(
+            topo, seed=0, divisions=[GroupDivision.all_met(7)], q_longterm=2
         )
         assert len(reports) == 2
         for report in reports:
@@ -252,23 +252,27 @@ class TestLongtermStage:
 
     @pytest.mark.parametrize("n_it", [3, 4])
     def test_batched_slots_equal_solving_each_slot(self, n_it):
-        # more slots than two batches hold, so chunk boundaries are crossed;
-        # at 4 ITs every slot is certified infeasible
+        # three divisions of more slots than a batch holds, so chunks cross
+        # slot and division boundaries; the repeated division gets the first
+        # one's reports.  At 4 ITs every slot is certified infeasible
         topo = generate_topology(seed=3, n_rrh=3, n_it=n_it, n_et=5)
-        division = GroupDivision(5, frozenset({1, 4}))
-        q = 2 * BATCH_SIZE + 3
-        reports = longterm_stage(topo, seed=8, division=division, q_longterm=q)
-        assert len(reports) == q
-        for slot, report in enumerate(reports):
-            channels = mask_fet_channels(draw_channels(topo, seed=8, slot=slot), division)
-            alone, _ = solve_division(topo, channels, division, PARAMS)
-            np.testing.assert_array_equal(report.p_op, alone.p_op)
-            np.testing.assert_array_equal(report.p_pu, alone.p_pu)
-            np.testing.assert_array_equal(report.ranges, alone.ranges)
-            assert report.status == alone.status
-            if n_it == 4:
-                assert report.status is SdpStatus.INFEASIBLE
-                assert np.isnan(report.objective) and np.isnan(alone.objective)
-            else:
-                assert report.status is SdpStatus.OPTIMAL
-                assert report.objective == alone.objective
+        hybrid = GroupDivision(5, frozenset({1, 4}))
+        divisions = [hybrid, GroupDivision.all_met(5), GroupDivision.all_fet(5), hybrid]
+        q = BATCH_SIZE + 3
+        stage = longterm_stage(topo, seed=8, divisions=divisions, q_longterm=q)
+        assert len(stage) == len(divisions)
+        for division, reports in zip(divisions, stage):
+            assert len(reports) == q
+            for slot, report in enumerate(reports):
+                channels = mask_fet_channels(draw_channels(topo, seed=8, slot=slot), division)
+                alone, _ = solve_division(topo, channels, division, PARAMS)
+                np.testing.assert_array_equal(report.p_op, alone.p_op)
+                np.testing.assert_array_equal(report.p_pu, alone.p_pu)
+                np.testing.assert_array_equal(report.ranges, alone.ranges)
+                assert report.status == alone.status
+                if n_it == 4:
+                    assert report.status is SdpStatus.INFEASIBLE
+                    assert np.isnan(report.objective) and np.isnan(alone.objective)
+                else:
+                    assert report.status is SdpStatus.OPTIMAL
+                    assert report.objective == alone.objective
