@@ -105,42 +105,43 @@ def _trial_topology(config: ExperimentConfig, trial: int):
     )
 
 
-def _trial_instance(config: ExperimentConfig, trial: int, params: SystemParams) -> Instance:
+def _trial_instance(
+    config: ExperimentConfig, trial: int, params: SystemParams, store: dict | None = None
+) -> Instance:
     """The trial's draw under `params`, shared by every algorithm of the trial."""
     topology = _trial_topology(config, trial)
     channels = draw_channels(
         topology, seed=derived_seed(config.seed, trial, 1), slot=0, alpha_abs=params.alpha_abs
     )
-    return Instance(topology, channels, params, config.solver)
+    return Instance(topology, channels, params, config.solver, store)
 
 
-def _slot_rows(
+def _trial_rows(
     config: ExperimentConfig,
-    params: SystemParams,
+    trial: int,
+    instance: Instance,
     sweep_param: str = "",
     sweep_value: str = "",
 ) -> list[dict[str, str]]:
     rows = []
-    for trial in range(config.n_trials):
-        instance = _trial_instance(config, trial, params)
-        for name in config.algorithms:
-            start = time.perf_counter()
-            result = _run_algorithm(name, instance)
-            ms = (time.perf_counter() - start) * 1e3
-            row = _base_row(
-                config,
-                trial=trial,
-                slot=0,
-                sweep_param=sweep_param,
-                sweep_value=sweep_value,
-                algorithm=name,
-                division_bitmask=result.final_division.to_bitmask(),
-                iterations=result.iterations,
-                termination=result.termination.value,
-                solve_ms=f"{ms:.3f}",
-            )
-            row.update(_report_fields(result.report))
-            rows.append(row)
+    for name in config.algorithms:
+        start = time.perf_counter()
+        result = _run_algorithm(name, instance)
+        ms = (time.perf_counter() - start) * 1e3
+        row = _base_row(
+            config,
+            trial=trial,
+            slot=0,
+            sweep_param=sweep_param,
+            sweep_value=sweep_value,
+            algorithm=name,
+            division_bitmask=result.final_division.to_bitmask(),
+            iterations=result.iterations,
+            termination=result.termination.value,
+            solve_ms=f"{ms:.3f}",
+        )
+        row.update(_report_fields(result.report))
+        rows.append(row)
     return rows
 
 
@@ -170,15 +171,24 @@ def _summarize(rows: list[dict[str, str]], keys: tuple[str, ...]) -> list[str]:
 
 
 def run_single_slot(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
-    rows = _slot_rows(config, config.params)
+    rows = []
+    for trial in range(config.n_trials):
+        rows += _trial_rows(config, trial, _trial_instance(config, trial, config.params))
     return rows, ["per-algorithm summary:"] + _summarize(rows, ("algorithm",))
 
 
 def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
-    rows = []
-    for value in config.sweep_values:
-        params = config.sweep_param_watts(value)
-        rows.extend(_slot_rows(config, params, config.sweep_param, _fmt(value)))
+    """Rows in (sweep value, trial) order.  The instances of one draw share
+    a solve store, dropped once the draw is done: an SDP no sweep value
+    changes (all-FET under a `p_amin` sweep) is solved once per draw."""
+    points = [(_fmt(value), config.sweep_param_watts(value)) for value in config.sweep_values]
+    per_value = [[] for _ in points]
+    for trial in range(config.n_trials):
+        store = {}
+        for (label, params), value_rows in zip(points, per_value):
+            instance = _trial_instance(config, trial, params, store)
+            value_rows += _trial_rows(config, trial, instance, config.sweep_param, label)
+    rows = [row for value_rows in per_value for row in value_rows]
     summary = ["per (algorithm, sweep value) summary:"] + _summarize(
         rows, ("algorithm", "sweep_value")
     )

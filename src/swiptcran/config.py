@@ -18,6 +18,15 @@ from .sdp import SolverOptions
 MODES = ("single-slot", "sweep", "longterm", "validate")
 ALGORITHM_CHOICES = ("alg1", "alg2", "all-fet", "all-met", "brute")
 _COUNT_FIELDS = ("n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm")
+_LONGTERM_FIELDS = ("q_training", "q_longterm", "threshold", "training_algorithm")
+_SWEEP_FIELDS = ("sweep_param", "sweep_values")
+# settings a mode never reads, left out of its config hash
+_UNREAD = {
+    "single-slot": _LONGTERM_FIELDS + _SWEEP_FIELDS,
+    "sweep": _LONGTERM_FIELDS,
+    "longterm": ("algorithms",) + _SWEEP_FIELDS,
+    "validate": (),
+}
 
 
 class ConfigError(ValueError):
@@ -87,13 +96,15 @@ class ExperimentConfig:
             raise ConfigError(f"run.training_algorithm must be one of {sorted(ALGORITHMS)}")
 
     def config_hash(self) -> str:
-        """Stable digest of every resolved setting; stamped on each CSV row."""
+        """Stable digest of every resolved setting the mode reads; stamped on
+        each CSV row, so runs that differ only in a setting their mode
+        ignores share a hash and may share a CSV."""
         blob = {
             "params": {f.name: getattr(self.params, f.name) for f in fields(self.params)},
             "solver": {f.name: getattr(self.solver, f.name) for f in fields(self.solver)},
         }
         for f in fields(self):
-            if f.name in ("params", "solver"):
+            if f.name in ("params", "solver") or f.name in _UNREAD[self.mode]:
                 continue
             blob[f.name] = getattr(self, f.name)
         canon = json.dumps(blob, sort_keys=True, separators=(",", ":"))

@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import marshal
 import math
 import operator
 from dataclasses import dataclass, field
@@ -140,7 +141,10 @@ class SdpProblem:
 
         Returns (objective blocks, constraint blocks): block index -> cleaned
         matrix, the second once per constraint.  `solve` assembles its
-        standard form from these, so each matrix is cleaned once per solve.
+        standard form from these.  An array object that several blocks share
+        (`build_sdp` passes one per row to all of its blocks) is cleaned once
+        per block dimension, and those blocks share the cleaned matrix; an
+        error names the first block where the array appears.
         """
         dims = tuple(int(d) for d in self.block_dims)
         if any(d < 1 for d in dims):
@@ -149,11 +153,20 @@ class SdpProblem:
             raise ValueError("n_scalars must be >= 0")
         if len(dims) == 0 and self.n_scalars == 0:
             raise ValueError("problem has no variables")
+        # (id, dim) -> cleaned; every keyed array lives in self while this runs
+        seen = {}
+
+        def clean(mat, b, what):
+            key = (id(mat), dims[b])
+            if key not in seen:
+                seen[key] = _clean_herm(mat, dims[b], what)
+            return seen[key]
+
         obj_blocks = {}
         for b, mat in self.obj_blocks.items():
             if not 0 <= b < len(dims):
                 raise ValueError(f"objective references unknown block {b}")
-            obj_blocks[b] = _clean_herm(mat, dims[b], f"objective block {b}")
+            obj_blocks[b] = clean(mat, b, f"objective block {b}")
         for j, v in self.obj_scalars.items():
             if not 0 <= j < self.n_scalars:
                 raise ValueError(f"objective references unknown scalar {j}")
@@ -167,7 +180,7 @@ class SdpProblem:
             for b, mat in con.blocks.items():
                 if not 0 <= b < len(dims):
                     raise ValueError(f"constraint {k} references unknown block {b}")
-                cleaned[b] = _clean_herm(mat, dims[b], f"constraint {k} block {b}")
+                cleaned[b] = clean(mat, b, f"constraint {k} block {b}")
             con_blocks.append(cleaned)
             for j, v in con.scalars.items():
                 if not 0 <= j < self.n_scalars:
@@ -359,17 +372,25 @@ class _Batch:
         self.G = np.zeros((n, k_total, self.n_u))
         self.c_u = np.zeros((n, self.n_u))
         self.r = np.zeros((n, k_total))
+        # id -> embedded; blocks that share a cleaned matrix share its embedding
+        embedded = {}
+
+        def embed(mat):
+            if id(mat) not in embedded:
+                embedded[id(mat)] = _embed(mat) / 2.0
+            return embedded[id(mat)]
+
         for p, (problem, (obj_blocks, con_blocks)) in enumerate(zip(problems, cleaned)):
             for b, mat in obj_blocks.items():
                 g, pos = where[b]
-                self.C[g][p, pos] = _embed(mat) / 2.0
+                self.C[g][p, pos] = embed(mat)
             for j, v in problem.obj_scalars.items():
                 self.c_u[p, j] = float(v)
             slack_col = problem.n_scalars
             for k, con in enumerate(problem.constraints):
                 for b, mat in con_blocks[k].items():
                     g, pos = where[b]
-                    self.A[g][p, k, pos] = _embed(mat) / 2.0
+                    self.A[g][p, k, pos] = embed(mat)
                 for j, v in con.scalars.items():
                     self.G[p, k, j] = float(v)
                 self.r[p, k] = float(con.rhs)
@@ -445,6 +466,41 @@ BATCH_SIZE = 16
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
     """Solve one instance: `solve_batch` on a batch of one."""
     return solve_batch([problem], options)[0]
+
+
+def solve_key(problem: SdpProblem, options: SolverOptions | None = None) -> bytes:
+    """Bytes that pin `solve(problem, options)`: equal keys, equal solutions.
+
+    The key spells out the options, the block dimensions, the scalar count,
+    each coefficient array's block index, dtype, shape and raw bytes, and
+    each constraint's scalar coefficients, sense and rhs.  Compared whole,
+    as a dict key is, a match is exact; two spellings of one value (a
+    float64 and a complex128 array) only cost a second solve.
+    """
+
+    def arrays(blocks):
+        out = []
+        for b, mat in blocks.items():
+            a = np.asarray(mat)
+            if a.dtype.hasobject:  # the raw bytes of an object array are pointers
+                a = a.astype(np.complex128)
+            out.append((int(b), a.dtype.str, a.shape, a.tobytes()))
+        return out
+
+    def scalars(coeffs):
+        return [(int(j), float(v)) for j, v in coeffs.items()]
+
+    content = [
+        repr(options or SolverOptions()),
+        tuple(int(d) for d in problem.block_dims),
+        int(problem.n_scalars),
+        arrays(problem.obj_blocks),
+        scalars(problem.obj_scalars),
+    ]
+    content += [(c.sense, float(c.rhs), scalars(c.scalars), arrays(c.blocks)) for c in problem.constraints]
+    # marshal writes floats as their 8 bytes; format 2 has no back-references,
+    # so the bytes depend on the content alone, not on which objects it shares
+    return marshal.dumps(content, 2)
 
 
 def _structure(problem: SdpProblem) -> tuple:

@@ -6,6 +6,7 @@ import pytest
 
 import swiptcran.beamform as beamform
 import swiptcran.cli as cli
+import swiptcran.division as division_module
 from swiptcran.cli import (
     CSV_COLUMNS,
     derived_seed,
@@ -234,6 +235,53 @@ class TestSweep:
         assert {row["sweep_value"] for row in rows} == {"-20.0", "-17.0"}
 
 
+class TestSweepStore:
+    """The sweep values of one draw share a solve store."""
+
+    BASE = {
+        "run.mode": "sweep", "topology.n_it": 3, "topology.n_et": 7, "run.n_trials": 2,
+        "run.seed": 4, "run.algorithms": "alg1, alg2, all-fet, all-met",
+    }
+    ALL_FET = (1 << 7) - 1
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list[int]:
+        masks = []
+        real = division_module.solve_division
+
+        def counted(topology, channels, division, params, options):
+            masks.append(division.to_bitmask())
+            return real(topology, channels, division, params, options)
+
+        monkeypatch.setattr(division_module, "solve_division", counted)
+        return masks
+
+    def _sweep(self, param, values):
+        config = load_config(None, {**self.BASE, "sweep.param": param, "sweep.values": values})
+        return cli.run_sweep(config)[0]
+
+    def test_p_amin_sweep_solves_all_fet_once_per_draw(self, monkeypatch):
+        values = [-20, -18, -17, -15]
+        masks = self._count_solves(monkeypatch)
+        rows = self._sweep("p_amin_dbm", values)
+        assert masks.count(self.ALL_FET) == 2  # one per draw, not one per (draw, value)
+        order = [(r["sweep_value"], r["trial"]) for r in rows]
+        assert order == sorted(order, key=lambda vt: (values.index(float(vt[0])), vt[1]))
+        fresh = [row for v in values for row in self._sweep("p_amin_dbm", [v])]
+        assert len(rows) == len(fresh) == 2 * 4 * 4
+        for a, b in zip(rows, fresh):
+            # the hash covers sweep.values, which differ between the runs
+            assert {**_stable(a), "config_hash": ""} == {**_stable(b), "config_hash": ""}
+
+    @pytest.mark.parametrize(
+        "param, values", [("p_fmin_dbm", [-24, -22, -20, -18]), ("noise_power_dbm", [-42, -41, -40, -39])]
+    )
+    def test_a_changed_rhs_is_solved_again(self, monkeypatch, param, values):
+        masks = self._count_solves(monkeypatch)
+        self._sweep(param, values)
+        assert masks.count(self.ALL_FET) == 2 * 4
+
+
 class TestLongterm:
     def test_row_layout(self, tmp_path):
         conf = tmp_path / "lt.conf"
@@ -266,6 +314,20 @@ class TestLongterm:
         assert any("cumulative" in line for line in summary)
         variants_seen = {r["algorithm"] for r in longterm}
         assert variants_seen == set(cli.LONGTERM_VARIANTS)
+
+    def test_algorithms_setting_does_not_split_the_csv(self, tmp_path):
+        # longterm never reads run.algorithms, so its rows append to one file
+        conf = tmp_path / "lt.conf"
+        conf.write_text(
+            "topology.n_it = 3\ntopology.n_et = 3\nrun.q_training = 1\nrun.q_longterm = 1\n",
+            encoding="utf-8",
+        )
+        out = str(tmp_path / "lt.csv")
+        argv = ["longterm", "--config", str(conf), "--trials", "1", "--out", out]
+        assert main(argv) == 0
+        assert main(argv + ["--algorithms", "all-met"]) == 0
+        rows = _read_rows(out)
+        assert len(rows) == 2 * (1 + 3) and len({r["config_hash"] for r in rows}) == 1
 
     def test_frozen_baseline_division_is_solved_once(self, monkeypatch):
         # master seed 1 (the first of seeds 0-11 at this config to do so)

@@ -6,6 +6,7 @@ import pytest
 
 from swiptcran.beamform import SystemParams
 from swiptcran.config import (
+    MODES,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -204,6 +205,42 @@ class TestConfigHash:
         a = ExperimentConfig()
         b = build_config({"system.p_amin_dbm": -15})
         assert a.config_hash() != b.config_hash()
+
+
+class TestConfigHashPerMode:
+    """Each mode hashes only the settings it reads."""
+
+    UNREAD = {
+        "single-slot": {"run.q_training": 3, "run.q_longterm": 7, "run.threshold": 0.25,
+                        "run.training_algorithm": "alg1", "sweep.param": "p_fmin_dbm",
+                        "sweep.values": [-21]},
+        "sweep": {"run.q_training": 3, "run.q_longterm": 7, "run.threshold": 0.25,
+                  "run.training_algorithm": "alg1"},
+        "longterm": {"run.algorithms": "all-met", "sweep.param": "p_fmin_dbm", "sweep.values": [-21]},
+    }
+    READ = {
+        "single-slot": {"run.algorithms": "all-met", "run.seed": 1, "system.p_amin_dbm": -15,
+                        "solver.max_iters": 99, "topology.n_et": 5},
+        "sweep": {"run.algorithms": "all-met", "sweep.param": "p_fmin_dbm", "sweep.values": [-21]},
+        "longterm": {"run.q_training": 3, "run.q_longterm": 7, "run.threshold": 0.25,
+                     "run.training_algorithm": "alg1", "run.n_trials": 5},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(UNREAD))
+    def test_unread_settings_leave_the_hash(self, mode):
+        base = build_config({"run.mode": mode}).config_hash()
+        for key, value in self.UNREAD[mode].items():
+            assert build_config({"run.mode": mode, key: value}).config_hash() == base, key
+
+    @pytest.mark.parametrize("mode", sorted(READ))
+    def test_read_settings_change_the_hash(self, mode):
+        base = build_config({"run.mode": mode}).config_hash()
+        for key, value in self.READ[mode].items():
+            assert build_config({"run.mode": mode, key: value}).config_hash() != base, key
+
+    def test_modes_hash_apart(self):
+        hashes = {build_config({"run.mode": mode}).config_hash() for mode in MODES}
+        assert len(hashes) == len(MODES)
 
 
 class TestSweepParamWatts:

@@ -417,6 +417,24 @@ class TestInstance:
                 assert oracle.report.objective <= res.report.objective
         assert len(masks) == 16
 
+    def test_shared_store_reuses_solutions_with_each_instances_params(self, monkeypatch):
+        masks = self._count_solves(monkeypatch)
+        topo = generate_topology(seed=11, n_rrh=3, n_it=3, n_et=7)
+        ch = draw_channels(topo, seed=11, slot=0)
+        # the all-MET SDP has no FET floor, so p_fmin moves only the report's ranges
+        params = [PARAMS, SystemParams(p_fmin=PARAMS.p_fmin / 4)]
+        store = {}
+        shared = [Instance(topo, ch, p, store=store) for p in params]
+        all_met = GroupDivision.all_met(7)
+        reports = [inst.evaluate(all_met)[0] for inst in shared]
+        assert masks == [0] and len(store) == 1
+        assert not np.array_equal(reports[0].ranges, reports[1].ranges)
+        for report, p in zip(reports, params):
+            fresh, _ = Instance(topo, ch, p).evaluate(all_met)
+            assert report.objective == fresh.objective
+            for field in ("p_op", "p_pu", "ranges"):
+                np.testing.assert_array_equal(getattr(report, field), getattr(fresh, field))
+
     def test_evaluate_checks_the_partition_on_every_call(self):
         inst = _instance(11, n_et=2)
         inst.evaluate(GroupDivision.all_met(2))

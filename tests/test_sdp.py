@@ -17,10 +17,12 @@ from swiptcran.sdp import (
     SdpSolution,
     SdpStatus,
     SolverOptions,
+    _clean_herm,
     dump_problem,
     load_problem,
     solve,
     solve_batch,
+    solve_key,
     verify,
 )
 from swiptcran.longterm import mask_fet_channels
@@ -540,6 +542,33 @@ class TestProblemValidation:
         np.testing.assert_array_equal(con_blocks[0][0], np.eye(2, dtype=complex))
         assert len(con_blocks) == 1
 
+    def test_shared_non_hermitian_array_names_its_first_block(self):
+        bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        ok = SdpConstraint({0: np.eye(2)}, {}, ">=", 1.0)
+        shared = SdpConstraint({0: bad, 1: bad}, {}, ">=", 1.0)
+        problem = SdpProblem((2, 2), 0, {}, {}, (ok, shared, shared))
+        with pytest.raises(ValueError, match=r"^constraint 1 block 0: not Hermitian$"):
+            problem.validate()
+
+    def test_shared_arrays_clean_as_each_block_alone(self):
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        problem = build_sdp(
+            topo, draw_channels(topo, seed=5, slot=0), GroupDivision(7, {2, 4}), SystemParams()
+        )
+        obj_blocks, con_blocks = problem.validate()
+        for b, mat in problem.obj_blocks.items():
+            np.testing.assert_array_equal(obj_blocks[b], _clean_herm(mat, 3, "objective"))
+        for con, cleaned in zip(problem.constraints, con_blocks):
+            assert cleaned.keys() == con.blocks.keys()
+            for b, mat in con.blocks.items():
+                np.testing.assert_array_equal(cleaned[b], _clean_herm(mat, 3, "constraint"))
+
+    def test_shared_array_checked_against_each_block_dimension(self):
+        mat = np.eye(2)
+        con = SdpConstraint({0: mat, 1: mat}, {}, ">=", 1.0)
+        with pytest.raises(ValueError, match=r"constraint 0 block 1: expected shape \(3, 3\)"):
+            SdpProblem((2, 3), 0, {}, {}, (con,)).validate()
+
     def test_rejects_shape_mismatch(self):
         problem = SdpProblem((3,), 0, {0: np.eye(2, dtype=complex)}, {}, ())
         with pytest.raises(ValueError):
@@ -562,6 +591,45 @@ class TestProblemValidation:
     def test_rejects_non_finite_rhs(self):
         with pytest.raises(ValueError):
             SdpConstraint({}, {0: 1.0}, ">=", float("inf"))
+
+
+class TestSolveKey:
+    @staticmethod
+    def _problem(division=frozenset({1, 3}), **params):
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        ch = draw_channels(topo, seed=5, slot=0)
+        return build_sdp(topo, ch, GroupDivision(7, division), SystemParams(**params))
+
+    def test_equal_content_gives_equal_keys(self):
+        a, b = self._problem(), self._problem()
+        assert a.constraints[0].blocks[0] is not b.constraints[0].blocks[0]
+        assert solve_key(a) == solve_key(b) == solve_key(a, SolverOptions())
+
+    def test_every_part_of_the_content_counts(self):
+        base = solve_key(self._problem())
+        assert solve_key(self._problem(frozenset({1}))) != base
+        assert solve_key(self._problem(p_fmin=5e-6)) != base  # an rhs
+        assert solve_key(self._problem(gamma=2.0)) != base  # an objective block
+        assert solve_key(self._problem(beta=2.0)) != base  # an objective scalar
+        assert solve_key(self._problem(), SolverOptions(max_iters=99)) != base
+
+    def test_parameters_the_sdp_does_not_read_leave_the_key(self):
+        all_fet = frozenset(range(7))
+        assert solve_key(self._problem(all_fet)) == solve_key(self._problem(all_fet, p_amin=1e-4))
+
+    def test_value_and_spelling(self):
+        def one(mat, rhs=1.0):
+            return SdpProblem((2,), 0, {0: np.eye(2)}, {}, (SdpConstraint({0: mat}, {}, ">=", rhs),))
+
+        assert solve_key(one(np.eye(2))) != solve_key(one(2 * np.eye(2)))
+        assert solve_key(one(np.eye(2), 0.0)) != solve_key(one(np.eye(2), -0.0))
+        # the same value as another dtype is a different key, never a false match
+        assert solve_key(one(np.eye(2))) != solve_key(one(np.eye(2, dtype=complex)))
+        # an object array's raw bytes are pointers; its values must reach the key
+        ones = [np.array([[1.0, 0.0], [0.0, x]], dtype=object) for x in (1.0, 2.0)]
+        fresh = np.array([[float("1"), float("0")], [float("0"), float("1")]], dtype=object)
+        assert solve_key(one(ones[0])) == solve_key(one(fresh))
+        assert solve_key(one(ones[0])) != solve_key(one(ones[1]))
 
 
 class TestDumpLoad:
