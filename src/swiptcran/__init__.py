@@ -32,7 +32,6 @@ from .division import (
     brute_force,
 )
 from .longterm import TrainingResult, longterm_stage, training_stage
-from .sdp import SolverOptions
 from .topology import (
     ChannelRealization,
     NetworkTopology,
@@ -53,7 +52,6 @@ __all__ = [
     "NetworkTopology",
     "Position",
     "PowerReport",
-    "SolverOptions",
     "SystemParams",
     "Termination",
     "TrainingResult",

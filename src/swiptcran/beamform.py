@@ -23,7 +23,6 @@ from .sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
-    SolverOptions,
     solve,
     solve_batch,
 )
@@ -440,19 +439,13 @@ def solve_division(
     channels,
     division: GroupDivision,
     params: SystemParams,
-    options: SolverOptions | None = None,
 ) -> tuple[PowerReport, SdpSolution]:
     """Build and solve the SDP for one division."""
-    solution = solve(build_sdp(topology, channels, division, params), options)
+    solution = solve(build_sdp(topology, channels, division, params))
     return _division_report(topology, solution, params), solution
 
 
-def solve_division_batch(
-    topology,
-    requests,
-    params: SystemParams,
-    options: SolverOptions | None = None,
-) -> list[PowerReport]:
+def solve_division_batch(topology, requests, params: SystemParams) -> list[PowerReport]:
     """Solve each (channels, division) pair of the iterable `requests` as
     one `solve_batch`, which builds the SDPs a batch at a time.
 
@@ -461,4 +454,4 @@ def solve_division_batch(
     gives for the i-th pair.
     """
     problems = (build_sdp(topology, channels, division, params) for channels, division in requests)
-    return [_division_report(topology, sol, params) for sol in solve_batch(problems, options)]
+    return [_division_report(topology, sol, params) for sol in solve_batch(problems)]

@@ -1,10 +1,11 @@
 """Command line interface: Monte Carlo experiment runs and validation.
 
-Subcommands `single-slot`, `sweep`, `longterm`, and `validate` share one
-config format (see `config`).  All runs stream rows into a single CSV whose
-schema is fixed; every row carries the config hash so files cannot silently
-mix settings.  Per-trial seeds derive from the master seed by counter
-splitting, making row content (bar solve timings) bit-reproducible.
+Subcommands `single-slot`, `sweep` and `longterm` share one config format
+(see `config`); `validate` runs the invariant suite and takes no options.
+All runs stream rows into a single CSV whose schema is fixed; every row
+carries the config hash so files cannot silently mix settings.  Per-trial
+seeds derive from the master seed by counter splitting, making row content
+(bar solve timings) bit-reproducible.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import time
 import numpy as np
 
 from .beamform import GroupDivision, PowerReport, SystemParams
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import MODES, ConfigError, ExperimentConfig, load_config
 from .division import (
     DivisionRunResult,
     Instance,
@@ -75,11 +76,15 @@ def _report_fields(report: PowerReport) -> dict[str, str]:
     }
 
 
-def _base_row(config: ExperimentConfig, **overrides) -> dict[str, str]:
+def _base_row(config: ExperimentConfig) -> dict[str, str]:
+    """The fields every row of a run shares; each runner builds it once."""
     row = dict.fromkeys(CSV_COLUMNS, "")
     row.update(config_hash=config.config_hash(), mode=config.mode, trial="0", slot="0")
-    row.update({k: str(v) for k, v in overrides.items()})
     return row
+
+
+def _row(base: dict[str, str], **fields) -> dict[str, str]:
+    return {**base, **{k: str(v) for k, v in fields.items()}}
 
 
 def _run_algorithm(name: str, instance: Instance) -> DivisionRunResult:
@@ -113,11 +118,12 @@ def _trial_instance(
     channels = draw_channels(
         topology, seed=derived_seed(config.seed, trial, 1), slot=0, alpha_abs=params.alpha_abs
     )
-    return Instance(topology, channels, params, config.solver, store)
+    return Instance(topology, channels, params, store)
 
 
 def _trial_rows(
     config: ExperimentConfig,
+    base: dict[str, str],
     trial: int,
     instance: Instance,
     sweep_param: str = "",
@@ -128,8 +134,8 @@ def _trial_rows(
         start = time.perf_counter()
         result = _run_algorithm(name, instance)
         ms = (time.perf_counter() - start) * 1e3
-        row = _base_row(
-            config,
+        row = _row(
+            base,
             trial=trial,
             slot=0,
             sweep_param=sweep_param,
@@ -171,9 +177,10 @@ def _summarize(rows: list[dict[str, str]], keys: tuple[str, ...]) -> list[str]:
 
 
 def run_single_slot(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
+    base = _base_row(config)
     rows = []
     for trial in range(config.n_trials):
-        rows += _trial_rows(config, trial, _trial_instance(config, trial, config.params))
+        rows += _trial_rows(config, base, trial, _trial_instance(config, trial, config.params))
     return rows, ["per-algorithm summary:"] + _summarize(rows, ("algorithm",))
 
 
@@ -181,13 +188,14 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
     """Rows in (sweep value, trial) order.  The instances of one draw share
     a solve store, dropped once the draw is done: an SDP no sweep value
     changes (all-FET under a `p_amin` sweep) is solved once per draw."""
+    base = _base_row(config)
     points = [(_fmt(value), config.sweep_param_watts(value)) for value in config.sweep_values]
     per_value = [[] for _ in points]
     for trial in range(config.n_trials):
         store = {}
         for (label, params), value_rows in zip(points, per_value):
             instance = _trial_instance(config, trial, params, store)
-            value_rows += _trial_rows(config, trial, instance, config.sweep_param, label)
+            value_rows += _trial_rows(config, base, trial, instance, config.sweep_param, label)
     rows = [row for value_rows in per_value for row in value_rows]
     summary = ["per (algorithm, sweep value) summary:"] + _summarize(
         rows, ("algorithm", "sweep_value")
@@ -196,6 +204,7 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
 
 
 def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
+    base = _base_row(config)
     rows = []
     cumulative = {v: 0.0 for v in LONGTERM_VARIANTS}
     counted = {v: 0 for v in LONGTERM_VARIANTS}
@@ -215,13 +224,12 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
                 threshold=config.threshold,
                 params=config.params,
                 algorithm=config.training_algorithm,
-                options=config.solver,
             )
         except TrainingFailure as exc:
             ms = (time.perf_counter() - start) * 1e3
             rows.append(
-                _base_row(
-                    config,
+                _row(
+                    base,
                     trial=trial,
                     algorithm=config.training_algorithm,
                     status=exc.status.value,
@@ -234,8 +242,8 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
             continue
         ms = (time.perf_counter() - start) * 1e3
         rows.append(
-            _base_row(
-                config,
+            _row(
+                base,
                 trial=trial,
                 algorithm=config.training_algorithm,
                 status="Optimal",
@@ -260,15 +268,14 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
             list(divisions.values()),
             config.q_longterm,
             params=config.params,
-            options=config.solver,
         )
         ms = (time.perf_counter() - start) * 1e3
         per_slot = ms / max(1, len(divisions) * config.q_longterm)
         for (variant, division), reports in zip(divisions.items(), stage):
             running = 0.0
             for slot, report in enumerate(reports):
-                row = _base_row(
-                    config,
+                row = _row(
+                    base,
                     trial=trial,
                     slot=slot,
                     algorithm=variant,
@@ -325,9 +332,9 @@ def write_rows(path: str, rows: list[dict[str, str]]) -> None:
         writer.writerows(rows)
 
 
-def run_validate(config: ExperimentConfig) -> int:
+def run_validate() -> int:
     failures = 0
-    for check in run_all_checks(config.solver):
+    for check in run_all_checks():
         verdict = "PASS" if check.passed else "FAIL"
         print(f"{verdict} {check.name}: {check.detail}")
         failures += 0 if check.passed else 1
@@ -341,18 +348,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Joint beamforming and energy-user division experiments",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("single-slot", "sweep", "longterm", "validate"):
+    for mode in MODES:
         p = sub.add_parser(mode)
         p.add_argument("--config", help="path to a dotted-key config file")
         p.add_argument("--seed", type=int, help="master seed override")
         p.add_argument("--out", default="results.csv", help="CSV output path")
         p.add_argument("--trials", type=int, help="number of trials override")
         p.add_argument("--algorithms", help="comma-separated algorithm list")
+    # the invariant suite reads no setting, so it takes no options
+    sub.add_parser("validate")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.mode == "validate":
+        return run_validate()
     overrides: dict[str, object] = {"run.mode": args.mode}
     if args.seed is not None:
         overrides["run.seed"] = args.seed
@@ -365,9 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if config.mode == "validate":
-        return run_validate(config)
 
     runner = {
         "single-slot": run_single_slot,

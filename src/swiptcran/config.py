@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, fields
 from .beamform import SystemParams
 from .division import BRUTE_FORCE_CAP
 from .longterm import ALGORITHMS, DIVISION_THRESHOLD, Q_TRAINING
-from .sdp import SolverOptions
 
-MODES = ("single-slot", "sweep", "longterm", "validate")
+# the run modes; the `validate` subcommand reads no config
+MODES = ("single-slot", "sweep", "longterm")
 ALGORITHM_CHOICES = ("alg1", "alg2", "all-fet", "all-met", "brute")
 _COUNT_FIELDS = ("n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm")
 _LONGTERM_FIELDS = ("q_training", "q_longterm", "threshold", "training_algorithm")
@@ -25,7 +25,6 @@ _UNREAD = {
     "single-slot": _LONGTERM_FIELDS + _SWEEP_FIELDS,
     "sweep": _LONGTERM_FIELDS,
     "longterm": ("algorithms",) + _SWEEP_FIELDS,
-    "validate": (),
 }
 
 
@@ -56,7 +55,6 @@ class ExperimentConfig:
     training_algorithm: str = "alg2"
     sweep_param: str = "p_amin_dbm"
     sweep_values: tuple[float, ...] = (-20.0, -18.0, -17.0, -15.0)
-    solver: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
         for name in _COUNT_FIELDS:
@@ -99,12 +97,9 @@ class ExperimentConfig:
         """Stable digest of every resolved setting the mode reads; stamped on
         each CSV row, so runs that differ only in a setting their mode
         ignores share a hash and may share a CSV."""
-        blob = {
-            "params": {f.name: getattr(self.params, f.name) for f in fields(self.params)},
-            "solver": {f.name: getattr(self.solver, f.name) for f in fields(self.solver)},
-        }
+        blob = {"params": {f.name: getattr(self.params, f.name) for f in fields(self.params)}}
         for f in fields(self):
-            if f.name in ("params", "solver") or f.name in _UNREAD[self.mode]:
+            if f.name == "params" or f.name in _UNREAD[self.mode]:
                 continue
             blob[f.name] = getattr(self, f.name)
         canon = json.dumps(blob, sort_keys=True, separators=(",", ":"))
@@ -149,7 +144,6 @@ _RUN_KEYS = {
     "threshold", "training_algorithm",
 }
 _SWEEP_KEYS = {"param", "values"}
-_SOLVER_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 def _float_tuple(key: str, value: object) -> tuple[float, ...]:
@@ -168,7 +162,6 @@ def build_config(entries: dict[str, object]) -> ExperimentConfig:
     """Resolve flat dotted entries into an ExperimentConfig."""
     system: dict[str, object] = {}
     top: dict[str, object] = {}
-    solver: dict[str, object] = {}
 
     for key, value in entries.items():
         section, _, name = key.partition(".")
@@ -202,17 +195,11 @@ def build_config(entries: dict[str, object]) -> ExperimentConfig:
                 top["sweep_param"] = str(value)
             else:
                 top["sweep_values"] = _float_tuple(key, value)
-        elif section == "solver":
-            if name not in _SOLVER_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            solver[name] = value
         else:
             raise ConfigError(f"unknown config section {section!r} in {key!r}")
 
     try:
-        params = SystemParams(**system)
-        options = SolverOptions(**solver)
-        return ExperimentConfig(params=params, solver=options, **top)
+        return ExperimentConfig(params=SystemParams(**system), **top)
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise

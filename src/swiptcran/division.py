@@ -26,7 +26,7 @@ from .beamform import (
     solve_division,
     unsolved_report,
 )
-from .sdp import SdpSolution, SdpStatus, SolverOptions, solve_key
+from .sdp import SdpSolution, SdpStatus, solve_key
 from .topology import D_MIN_M, assigned_rrh
 
 POOR_CHANNEL_FACTOR = 0.05
@@ -71,7 +71,7 @@ class DivisionRunResult:
 
 
 class Instance:
-    """One channel draw's division problem: topology, channels, params, options.
+    """One channel draw's division problem: topology, channels and params.
 
     `evaluate(division)` returns `solve_division`'s (PowerReport, SdpSolution).
     It builds the division's SDP and looks its `sdp.solve_key` up in
@@ -83,31 +83,21 @@ class Instance:
     solutions and must not modify them.
     """
 
-    def __init__(
-        self,
-        topology,
-        channels,
-        params: SystemParams,
-        options: SolverOptions | None = None,
-        store: dict | None = None,
-    ):
+    def __init__(self, topology, channels, params: SystemParams, store: dict | None = None):
         self.topology = topology
         self.channels = channels
         self.params = params
-        self.options = options
         self.store: dict[bytes, SdpSolution] = {} if store is None else store
 
     def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
         problem = build_sdp(self.topology, self.channels, division, self.params)
-        key = solve_key(problem, self.options)
+        key = solve_key(problem)
         if key in self.store:
             solution = self.store[key]
             return _division_report(self.topology, solution, self.params), solution
         # a miss goes through the module global, which the benchmark's tracer
         # wraps; it builds the SDP again (about 0.14 ms against a solve of ~30)
-        report, solution = solve_division(
-            self.topology, self.channels, division, self.params, self.options
-        )
+        report, solution = solve_division(self.topology, self.channels, division, self.params)
         self.store[key] = solution
         return report, solution
 

@@ -23,7 +23,7 @@ from .beamform import (  # noqa: F401
     solve_division_batch,
 )
 from .division import DivisionRunResult, Instance, algorithm1, algorithm2
-from .sdp import SdpStatus, SolverOptions
+from .sdp import SdpStatus
 from .topology import ChannelRealization, draw_channels
 
 ALGORITHMS = {"alg1": algorithm1, "alg2": algorithm2}
@@ -78,7 +78,6 @@ def training_stage(
     threshold: float = DIVISION_THRESHOLD,
     params: SystemParams | None = None,
     algorithm: str = "alg2",
-    options: SolverOptions | None = None,
 ) -> TrainingResult:
     """Estimate each ET's FET frequency over `q_training` fading slots.
 
@@ -104,7 +103,7 @@ def training_stage(
     unsolved = None
     for slot in range(q_training):
         channels = draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs)
-        result: DivisionRunResult = run(Instance(topology, channels, params, options))
+        result: DivisionRunResult = run(Instance(topology, channels, params))
         if not result.report.feasible:
             if result.report.status is not SdpStatus.INFEASIBLE:
                 unsolved = unsolved or result.report.status
@@ -135,7 +134,6 @@ def longterm_stage(
     divisions: list[GroupDivision],
     q_longterm: int,
     params: SystemParams | None = None,
-    options: SolverOptions | None = None,
 ) -> list[list[PowerReport]]:
     """Run `q_longterm` slots under each frozen division of `divisions`,
     with silent FETs; returns one list of slot reports per entry, in order.
@@ -157,6 +155,6 @@ def longterm_stage(
         division.validate_for(topology.n_et)
     draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
     requests = ((mask_fet_channels(ch, division), division) for division in distinct for ch in draws)
-    reports = solve_division_batch(topology, requests, params, options)
+    reports = solve_division_batch(topology, requests, params)
     by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
     return [by_division[d] for d in divisions]

@@ -44,7 +44,7 @@ Statuses (homogeneous self-dual embedding is NOT used): every status other
 than Optimal is either certified or MaxIterations.  Infeasible comes only
 from a Farkas ray certificate extracted from the normalized dual iterate,
 Unbounded only from the mirrored primal-ray test, both checked every
-iteration.  A solve that neither converges nor certifies runs to `max_iters`
+iteration.  A solve that neither converges nor certifies runs to `MAX_ITERS`
 (or stops on a numerical breakdown) and ends MaxIterations.  The `detail`
 field of the solution records which indicator fired.
 """
@@ -57,7 +57,7 @@ import json
 import marshal
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -73,24 +73,13 @@ class SdpStatus(str, Enum):
     MAX_ITERATIONS = "MaxIterations"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-8
-    tol_psd: float = 1e-9
-    max_iters: int = 100
-    # fraction of the distance to the cone boundary taken per step
-    step_frac: float = 0.98
-
-    def __post_init__(self):
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, int):
-            raise TypeError(f"max_iters must be an int, got {self.max_iters!r}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if not min(self.tol_feas, self.tol_gap, self.tol_psd) > 0:
-            raise ValueError("solver tolerances must be positive")
-        if not 0 < self.step_frac < 1:
-            raise ValueError("step_frac must lie in (0, 1)")
+# Stopping rule and step rule.  Read at call time, so a test may patch them.
+TOL_FEAS = 1e-8
+TOL_GAP = 1e-8
+TOL_PSD = 1e-9
+MAX_ITERS = 100
+# fraction of the distance to the cone boundary taken per step
+STEP_FRAC = 0.98
 
 
 def _clean_herm(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
@@ -463,19 +452,20 @@ class _Batch:
 BATCH_SIZE = 16
 
 
-def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem) -> SdpSolution:
     """Solve one instance: `solve_batch` on a batch of one."""
-    return solve_batch([problem], options)[0]
+    return solve_batch([problem])[0]
 
 
-def solve_key(problem: SdpProblem, options: SolverOptions | None = None) -> bytes:
-    """Bytes that pin `solve(problem, options)`: equal keys, equal solutions.
+def solve_key(problem: SdpProblem) -> bytes:
+    """Bytes that pin `solve(problem)`: equal keys, equal solutions.
 
-    The key spells out the options, the block dimensions, the scalar count,
-    each coefficient array's block index, dtype, shape and raw bytes, and
-    each constraint's scalar coefficients, sense and rhs.  Compared whole,
-    as a dict key is, a match is exact; two spellings of one value (a
-    float64 and a complex128 array) only cost a second solve.
+    The key spells out the block dimensions, the scalar count, each
+    coefficient array's block index, dtype, shape and raw bytes, and each
+    constraint's scalar coefficients, sense and rhs.  Compared whole, as a
+    dict key is, a match is exact; two spellings of one value (a float64
+    and a complex128 array) only cost a second solve.  The solver constants
+    are not part of the key: a store must not outlive a change to them.
     """
 
     def arrays(blocks):
@@ -491,7 +481,6 @@ def solve_key(problem: SdpProblem, options: SolverOptions | None = None) -> byte
         return [(int(j), float(v)) for j, v in coeffs.items()]
 
     content = [
-        repr(options or SolverOptions()),
         tuple(int(d) for d in problem.block_dims),
         int(problem.n_scalars),
         arrays(problem.obj_blocks),
@@ -511,7 +500,7 @@ def _structure(problem: SdpProblem) -> tuple:
     )
 
 
-def solve_batch(problems, options: SolverOptions | None = None) -> list[SdpSolution]:
+def solve_batch(problems) -> list[SdpSolution]:
     """Solve instances of one structure together; see the module docstring.
 
     Every problem must have the same `block_dims`, `n_scalars` and
@@ -522,7 +511,6 @@ def solve_batch(problems, options: SolverOptions | None = None) -> list[SdpSolut
     numerical breakdown surfaces as MaxIterations with diagnostics in
     `detail`, and residual fields always reflect the returned iterate.
     """
-    opts = options or SolverOptions()
     todo = iter(problems)
     out, shape = [], None
     while chunk := list(itertools.islice(todo, BATCH_SIZE)):
@@ -530,7 +518,7 @@ def solve_batch(problems, options: SolverOptions | None = None) -> list[SdpSolut
         shape = shape or _structure(chunk[0])
         if any(_structure(p) != shape for p in chunk):
             raise ValueError("a batch needs one block_dims, n_scalars and constraint senses")
-        out += _solve_chunk(chunk, cleaned, opts)
+        out += _solve_chunk(chunk, cleaned)
     return out
 
 
@@ -558,7 +546,7 @@ def _residuals(bt: _Batch):
     return rp, rds, rd_u, stats
 
 
-def _solve_chunk(problems, cleaned, opts):
+def _solve_chunk(problems, cleaned):
     bt = _Batch(problems, cleaned)
     results = [None] * len(problems)
 
@@ -570,7 +558,7 @@ def _solve_chunk(problems, cleaned, opts):
             p = bt.ids[i]
             results[p] = _package(
                 problems[p], bt.groups, [x[i] for x in bt.X], bt.u[i], status, n_iter,
-                *stats[i][2:], detail, opts,
+                *stats[i][2:], detail,
             )
         if len(ends) == len(stats):
             return None
@@ -579,11 +567,11 @@ def _solve_chunk(problems, cleaned, opts):
         bt.keep(rows)
         return rp[rows], [rd[rows] for rd in rds], rd_u[rows], [st for st, k in zip(stats, rows) if k]
 
-    for n_iter in range(opts.max_iters + 1):
+    for n_iter in range(MAX_ITERS + 1):
         rp, rds, rd_u, stats = _residuals(bt)
         ends = {}
         for i, (_, _, rel_p, rel_d, gap) in enumerate(stats):
-            if rel_p <= opts.tol_feas and rel_d <= opts.tol_feas and gap <= opts.tol_gap:
+            if rel_p <= TOL_FEAS and rel_d <= TOL_FEAS and gap <= TOL_GAP:
                 ends[i] = (SdpStatus.OPTIMAL, "converged")
         for i, cert in _infeasibility_certificates(bt, ends).items():
             ends[i] = (SdpStatus.INFEASIBLE, cert)
@@ -605,7 +593,7 @@ def _solve_chunk(problems, cleaned, opts):
                     "objective diverging along a primal feasible ray "
                     f"(iterate norm {cone_norm:.2e}, objective {pobj:.2e})",
                 )
-        if n_iter == opts.max_iters:
+        if n_iter == MAX_ITERS:
             for i in range(len(stats)):
                 ends.setdefault(i, (SdpStatus.MAX_ITERATIONS, "iteration cap reached"))
         if ends:
@@ -615,7 +603,7 @@ def _solve_chunk(problems, cleaned, opts):
             rp, rds, rd_u, stats = left
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            broken = _ipm_step(bt, rp, rds, rd_u, [st[1] for st in stats], opts)
+            broken = _ipm_step(bt, rp, rds, rd_u, [st[1] for st in stats])
         if broken:
             ends = {i: (SdpStatus.MAX_ITERATIONS, f"numerical breakdown: {msg}") for i, msg in broken.items()}
             if finish(ends, n_iter, rp, rds, rd_u, stats) is None:
@@ -656,7 +644,7 @@ def _infeasibility_certificates(bt: _Batch, skip) -> dict:
     }
 
 
-def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list, opts) -> dict:
+def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     """One Mehrotra predictor-corrector step for every problem of the batch.
 
     Returns {row: error} for the problems that broke down; those keep their
@@ -741,7 +729,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list, opts) -> dict:
     dy, dxs, dss, du, dz = directions(
         smu[:, None, None, None], smu[:, None], [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
     )
-    ap, ad = step_lengths(dxs, dss, du, dz, opts.step_frac)
+    ap, ad = step_lengths(dxs, dss, du, dz, STEP_FRAC)
     for i, (p, d) in enumerate(zip(ap, ad)):
         if not (math.isfinite(p) and math.isfinite(d)) or p <= 0 or d <= 0:
             broken.setdefault(i, "degenerate step length")
@@ -801,7 +789,7 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
     return stuck
 
 
-def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail, opts):
+def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):
     """The solution of one problem from its rows `xs` (per group of the
     layout `groups`) and `u`."""
     blocks = [None] * len(problem.block_dims)
@@ -818,9 +806,9 @@ def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail, 
         worst = min(
             (float(np.linalg.eigvalsh(w).min()) for w in blocks), default=0.0
         )
-        if worst < -opts.tol_psd:
+        if worst < -TOL_PSD:
             status = SdpStatus.MAX_ITERATIONS
-            detail = f"returned block eigenvalue {worst:.2e} below -tol_psd"
+            detail = f"returned block eigenvalue {worst:.2e} below -TOL_PSD"
     return SdpSolution(
         block_values=blocks,
         scalar_values=scal,

@@ -31,7 +31,7 @@ from .division import (
     brute_force,
     update_division,
 )
-from .sdp import SdpConstraint, SdpProblem, SdpStatus, SolverOptions, solve, verify
+from .sdp import SdpConstraint, SdpProblem, SdpStatus, solve, verify
 from .topology import draw_channels, generate_topology
 
 
@@ -72,11 +72,11 @@ def _known_optimum_instance(seed: int) -> tuple[SdpProblem, float]:
     return problem, c / quad + d * b
 
 
-def check_solver_accuracy(options: SolverOptions, n_instances: int = 10) -> CheckResult:
+def check_solver_accuracy(n_instances: int = 10) -> CheckResult:
     """Closed-form objectives are met to 1e-6 with residuals under 1e-7."""
     for seed in range(n_instances):
         problem, expected = _known_optimum_instance(seed)
-        solution = solve(problem, options)
+        solution = solve(problem)
         if solution.status is not SdpStatus.OPTIMAL:
             return CheckResult(
                 "solver-accuracy", False, f"seed {seed}: status {solution.status.value}"
@@ -92,14 +92,14 @@ def check_solver_accuracy(options: SolverOptions, n_instances: int = 10) -> Chec
     return CheckResult("solver-accuracy", True, f"{n_instances} closed-form instances")
 
 
-def check_recovery_soundness(options: SolverOptions, seed: int = 11) -> CheckResult:
+def check_recovery_soundness(seed: int = 11) -> CheckResult:
     """Recovered beams satisfy the original floors; objective near the bound."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=7)
     channels = draw_channels(topology, seed=seed, slot=0)
     params = SystemParams()
     division = GroupDivision.all_met(topology.n_et)
     problem = build_sdp(topology, channels, division, params)
-    solution = solve(problem, options)
+    solution = solve(problem)
     if solution.status is not SdpStatus.OPTIMAL:
         return CheckResult("recovery-soundness", False, f"seed {seed}: solve failed")
     beams = recover_beamformers(solution, problem).scaled(1.0 / 1e3)
@@ -127,11 +127,11 @@ def check_recovery_soundness(options: SolverOptions, seed: int = 11) -> CheckRes
     return CheckResult("recovery-soundness", True, f"seed {seed}, 3 ITs, 7 METs")
 
 
-def check_division_sandwich(options: SolverOptions, seed: int = 21) -> CheckResult:
+def check_division_sandwich(seed: int = 21) -> CheckResult:
     """Brute force lower-bounds both algorithms and both baselines."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=2, n_et=4)
     channels = draw_channels(topology, seed=seed, slot=0)
-    instance = Instance(topology, channels, SystemParams(), options)
+    instance = Instance(topology, channels, SystemParams())
     oracle = brute_force(instance)
     if oracle.termination is not Termination.FIXED_POINT:
         return CheckResult(
@@ -169,14 +169,14 @@ def check_range_identities() -> CheckResult:
     return CheckResult("range-identities", True, "inversion within 1e-9 over 6 powers")
 
 
-def check_power_clamp(options: SolverOptions, seed: int = 11) -> CheckResult:
+def check_power_clamp(seed: int = 11) -> CheckResult:
     """The solver leaves no slack in purchased power: P_pu = max(0, P_op - P_en)."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=7)
     channels = draw_channels(topology, seed=seed, slot=0)
     for p_en in ((2.0, 2.5, 3.0), (0.002, 0.002, 0.002)):
         params = SystemParams(p_en=p_en)
         problem = build_sdp(topology, channels, GroupDivision.all_met(topology.n_et), params)
-        solution = solve(problem, options)
+        solution = solve(problem)
         if solution.status is not SdpStatus.OPTIMAL:
             return CheckResult("power-clamp", False, f"seed {seed}, p_en {p_en}: solve failed")
         report = power_report(solution, params)
@@ -188,11 +188,11 @@ def check_power_clamp(options: SolverOptions, seed: int = 11) -> CheckResult:
     return CheckResult("power-clamp", True, f"seed {seed}, two supply regimes, slack <= 1e-7")
 
 
-def check_division_invariants(options: SolverOptions, seed: int = 14) -> CheckResult:
+def check_division_invariants(seed: int = 14) -> CheckResult:
     """History ET counts, terminal repeats, idempotence, iteration bounds."""
     topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=5)
     channels = draw_channels(topology, seed=seed, slot=0)
-    instance = Instance(topology, channels, SystemParams(), options)
+    instance = Instance(topology, channels, SystemParams())
     for name, run in (("alg1", algorithm1), ("alg2", algorithm2)):
         result = run(instance)
         if result.iterations > 50:
@@ -220,13 +220,13 @@ def check_division_invariants(options: SolverOptions, seed: int = 14) -> CheckRe
     return CheckResult("division-invariants", True, f"seed {seed}, both algorithms")
 
 
-def check_determinism(options: SolverOptions, seed: int = 33) -> CheckResult:
+def check_determinism(seed: int = 33) -> CheckResult:
     """Same seed gives bit-identical topology, channels, and run outcome."""
     runs = []
     for _ in range(2):
         topology = generate_topology(seed=seed, n_rrh=3, n_it=3, n_et=5)
         channels = draw_channels(topology, seed=seed, slot=0)
-        result = algorithm2(Instance(topology, channels, SystemParams(), options))
+        result = algorithm2(Instance(topology, channels, SystemParams()))
         runs.append((topology, channels, result))
     (t1, c1, r1), (t2, c2, r2) = runs
     if t1.rrh_positions != t2.rrh_positions or t1.et_positions != t2.et_positions:
@@ -238,14 +238,13 @@ def check_determinism(options: SolverOptions, seed: int = 33) -> CheckResult:
     return CheckResult("determinism", True, f"seed {seed} reproduced bit-identically")
 
 
-def run_all_checks(options: SolverOptions | None = None) -> list[CheckResult]:
-    options = options or SolverOptions()
+def run_all_checks() -> list[CheckResult]:
     return [
-        check_solver_accuracy(options),
-        check_recovery_soundness(options),
-        check_division_sandwich(options),
+        check_solver_accuracy(),
+        check_recovery_soundness(),
+        check_division_sandwich(),
         check_range_identities(),
-        check_power_clamp(options),
-        check_division_invariants(options),
-        check_determinism(options),
+        check_power_clamp(),
+        check_division_invariants(),
+        check_determinism(),
     ]

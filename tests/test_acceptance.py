@@ -192,8 +192,11 @@ def test_criterion_5_assisted_floor_sweep_trend():
     }
     for trial in range(n_trials):
         topo, ch = _instance(trial, n_it=3, n_et=7)
+        # one store per draw, as `cli.run_sweep` shares: an SDP no p_amin
+        # value changes is solved once
+        store = {}
         for k, params in enumerate(params_by_value):
-            instance = Instance(topo, ch, params)
+            instance = Instance(topo, ch, params, store)
             runs = {
                 "alg1": algorithm1(instance),
                 "alg2": algorithm2(instance),

@@ -7,6 +7,7 @@ import pytest
 import swiptcran.beamform as beamform
 import swiptcran.cli as cli
 import swiptcran.division as division_module
+import swiptcran.sdp as sdp_module
 from swiptcran.cli import (
     CSV_COLUMNS,
     derived_seed,
@@ -77,10 +78,9 @@ class TestSingleSlotRows:
             value = float(row["objective_mw"])
             assert repr(value) == row["objective_mw"]
 
-    def test_not_converged_rows_are_not_infeasible(self, tmp_path):
-        conf = tmp_path / "capped.conf"
-        conf.write_text(SMALL_CONF + "solver.max_iters = 5\n", encoding="utf-8")
-        config = load_config(str(conf))
+    def test_not_converged_rows_are_not_infeasible(self, small_conf, monkeypatch):
+        monkeypatch.setattr(sdp_module, "MAX_ITERS", 5)
+        config = load_config(small_conf)
         rows, summary = cli.run_single_slot(config)
         for row in rows:
             assert row["status"] == "MaxIterations"
@@ -249,9 +249,9 @@ class TestSweepStore:
         masks = []
         real = division_module.solve_division
 
-        def counted(topology, channels, division, params, options):
+        def counted(topology, channels, division, params):
             masks.append(division.to_bitmask())
-            return real(topology, channels, division, params, options)
+            return real(topology, channels, division, params)
 
         monkeypatch.setattr(division_module, "solve_division", counted)
         return masks
@@ -364,7 +364,8 @@ class TestLongterm:
 
         assert variant_rows("frozen-hybrid") == variant_rows("all-fet")
 
-    def test_not_converged_training_is_not_infeasible(self, tmp_path):
+    def test_not_converged_training_is_not_infeasible(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sdp_module, "MAX_ITERS", 5)
         conf = tmp_path / "lt_capped.conf"
         conf.write_text(
             """
@@ -374,7 +375,6 @@ class TestLongterm:
             run.seed = 11
             run.q_training = 2
             run.q_longterm = 2
-            solver.max_iters = 5
             """,
             encoding="utf-8",
         )
@@ -400,8 +400,8 @@ class TestAlgorithmNames:
 class TestValidateExitCodes:
     def test_all_passing_returns_zero(self, monkeypatch, capsys):
         fake = [CheckResult(name="probe", passed=True, detail="ok")]
-        monkeypatch.setattr(cli, "run_all_checks", lambda options: fake)
-        assert cli.run_validate(ExperimentConfig()) == 0
+        monkeypatch.setattr(cli, "run_all_checks", lambda: fake)
+        assert cli.run_validate() == 0
         out = capsys.readouterr().out
         assert "PASS probe" in out and "all checks passed" in out
 
@@ -410,11 +410,69 @@ class TestValidateExitCodes:
             CheckResult(name="probe", passed=True, detail="ok"),
             CheckResult(name="broken", passed=False, detail="bad"),
         ]
-        monkeypatch.setattr(cli, "run_all_checks", lambda options: fake)
-        assert cli.run_validate(ExperimentConfig()) == 2
+        monkeypatch.setattr(cli, "run_all_checks", lambda: fake)
+        assert cli.run_validate() == 2
         assert "FAIL broken" in capsys.readouterr().out
 
     def test_main_dispatches_validate(self, monkeypatch):
         fake = [CheckResult(name="probe", passed=True, detail="ok")]
-        monkeypatch.setattr(cli, "run_all_checks", lambda options: fake)
+        monkeypatch.setattr(cli, "run_all_checks", lambda: fake)
         assert main(["validate"]) == 0
+
+    def test_validate_reads_no_config(self, monkeypatch):
+        def no_config(*args):
+            raise AssertionError("validate loaded a config")
+
+        monkeypatch.setattr(cli, "load_config", no_config)
+        monkeypatch.setattr(cli, "run_all_checks", lambda: [])
+        assert main(["validate"]) == 0
+
+    @pytest.mark.parametrize(
+        "option", ["--config=x.conf", "--seed=1", "--out=x.csv", "--trials=3", "--algorithms=alg1"]
+    )
+    def test_validate_rejects_run_options(self, monkeypatch, capsys, option):
+        monkeypatch.setattr(cli, "run_all_checks", lambda: [])
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestConfigHashOncePerRun:
+    """A run's hash never changes, so a run computes it a fixed number of
+    times however many rows it writes."""
+
+    ARGS = {
+        "sweep": ["--algorithms", "all-met"],
+        "longterm": [],
+    }
+    CONF = """
+topology.n_it = 3
+topology.n_et = 3
+run.q_training = 2
+run.q_longterm = 2
+sweep.values = [-20, -17]
+"""
+
+    @pytest.mark.parametrize("mode", sorted(ARGS))
+    def test_hash_calls_do_not_grow_with_rows(self, mode, tmp_path, monkeypatch, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(self.CONF, encoding="utf-8")
+        real = ExperimentConfig.config_hash
+        calls = []
+
+        def counted(config):
+            calls.append(config.mode)
+            return real(config)
+
+        monkeypatch.setattr(ExperimentConfig, "config_hash", counted)
+        per_run = []
+        for trials in (1, 3):
+            out = tmp_path / f"{trials}.csv"
+            calls.clear()
+            argv = [mode, "--config", str(conf), "--out", str(out), "--trials", str(trials)]
+            assert main(argv + self.ARGS[mode]) == 0
+            per_run.append((len(_read_rows(out)), len(calls)))
+        (rows_1, calls_1), (rows_3, calls_3) = per_run
+        assert rows_3 > rows_1
+        assert calls_3 == calls_1

@@ -14,8 +14,8 @@ from swiptcran.config import (
     load_config,
     parse_config_text,
 )
+from swiptcran import sdp
 from swiptcran.longterm import ALGORITHMS
-from swiptcran.sdp import SolverOptions
 
 
 class TestParseConfigText:
@@ -114,15 +114,7 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="p_en"):
             build_config({"system.p_en": [2.0, 2.5, 3.0], "topology.n_rrh": 2})
 
-    def test_solver_section_feeds_options(self):
-        cfg = build_config({"solver.tol_feas": 1e-9, "solver.max_iters": 64})
-        assert cfg.solver.tol_feas == 1e-9
-        assert cfg.solver.max_iters == 64
-
-    @pytest.mark.parametrize(
-        "section, attr, cls",
-        [("system", "params", SystemParams), ("solver", "solver", SolverOptions)],
-    )
+    @pytest.mark.parametrize("section, attr, cls", [("system", "params", SystemParams)])
     def test_every_field_is_a_key_of_its_section(self, section, attr, cls):
         def moved(value):
             if isinstance(value, tuple):
@@ -162,10 +154,6 @@ class TestBuildConfig:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("solver.max_iters", -1),
-            ("solver.max_iters", 2.5),
-            ("solver.tol_gap", 0.0),
-            ("solver.step_frac", 1.0),
             ("run.n_trials", 2.5),
             ("run.q_longterm", 2.5),
             ("run.threshold", 1.5),
@@ -183,6 +171,12 @@ class TestBuildConfig:
         # the division heuristics are constants in swiptcran.division
         with pytest.raises(ConfigError, match="unknown config section 'division'"):
             build_config({f"division.{key}": 1})
+
+    @pytest.mark.parametrize("key", ["tol_feas", "tol_gap", "tol_psd", "max_iters", "step_frac"])
+    def test_solver_section_is_a_config_error(self, key):
+        # the solver settings are constants in swiptcran.sdp; even their own values are refused
+        with pytest.raises(ConfigError, match="unknown config section 'solver'"):
+            build_config({f"solver.{key}": getattr(sdp, key.upper())})
 
     def test_training_algorithm_names_come_from_longterm(self):
         for name in ALGORITHMS:
@@ -220,7 +214,7 @@ class TestConfigHashPerMode:
     }
     READ = {
         "single-slot": {"run.algorithms": "all-met", "run.seed": 1, "system.p_amin_dbm": -15,
-                        "solver.max_iters": 99, "topology.n_et": 5},
+                        "topology.n_et": 5},
         "sweep": {"run.algorithms": "all-met", "sweep.param": "p_fmin_dbm", "sweep.values": [-21]},
         "longterm": {"run.q_training": 3, "run.q_longterm": 7, "run.threshold": 0.25,
                      "run.training_algorithm": "alg1", "run.n_trials": 5},

@@ -14,6 +14,7 @@ from swiptcran.beamform import (
     unsolved_report,
 )
 import swiptcran.division as division_module
+import swiptcran.sdp as sdp_module
 from swiptcran.division import (
     BRUTE_FORCE_CAP,
     DivisionRunResult,
@@ -29,7 +30,7 @@ from swiptcran.division import (
     channel_check,
     update_division,
 )
-from swiptcran.sdp import SdpStatus, SolverOptions
+from swiptcran.sdp import SdpStatus
 from swiptcran.topology import (
     ChannelRealization,
     NetworkTopology,
@@ -42,9 +43,9 @@ from swiptcran.topology import (
 PARAMS = SystemParams()
 
 
-def _instance(seed: int, n_it: int = 3, n_et: int = 7, options=None) -> Instance:
+def _instance(seed: int, n_it: int = 3, n_et: int = 7) -> Instance:
     topo = generate_topology(seed=seed, n_rrh=3, n_it=n_it, n_et=n_et)
-    return Instance(topo, draw_channels(topo, seed=seed, slot=0), PARAMS, options)
+    return Instance(topo, draw_channels(topo, seed=seed, slot=0), PARAMS)
 
 
 def _fake_report(objective: float) -> PowerReport:
@@ -337,13 +338,11 @@ class TestAlgorithms:
         with pytest.raises(ValueError):
             brute_force(Instance(topo, ch, PARAMS))
 
-    def test_not_converged_is_not_infeasible(self):
+    def test_not_converged_is_not_infeasible(self, monkeypatch):
         # a feasible draw under a solver cap too small to converge
-        opts = SolverOptions(max_iters=5)
-        inst = _instance(11, options=opts)
-        report, solution = solve_division(
-            inst.topology, inst.channels, GroupDivision.all_met(7), PARAMS, opts
-        )
+        monkeypatch.setattr(sdp_module, "MAX_ITERS", 5)
+        inst = _instance(11)
+        report, solution = solve_division(inst.topology, inst.channels, GroupDivision.all_met(7), PARAMS)
         assert solution.status is SdpStatus.MAX_ITERATIONS
         assert report.status is SdpStatus.MAX_ITERATIONS
         assert not report.feasible
@@ -376,9 +375,9 @@ class TestInstance:
         masks = []
         real = division_module.solve_division
 
-        def counted(topology, channels, division, params, options):
+        def counted(topology, channels, division, params):
             masks.append(division.to_bitmask())
-            return real(topology, channels, division, params, options)
+            return real(topology, channels, division, params)
 
         monkeypatch.setattr(division_module, "solve_division", counted)
         return masks

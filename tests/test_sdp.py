@@ -16,7 +16,6 @@ from swiptcran.sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
-    SolverOptions,
     _clean_herm,
     dump_problem,
     load_problem,
@@ -180,14 +179,13 @@ class TestOracleFamily:
         assert report.passed
 
     def test_optimal_meets_tolerance_contract(self):
-        opts = SolverOptions()
         for seed in range(10):
             problem, _, _, _ = oracle_instance(seed)
-            sol = solve(problem, opts)
+            sol = solve(problem)
             assert sol.status is SdpStatus.OPTIMAL
-            report = verify(problem, sol, tol=10 * opts.tol_feas)
-            assert report.max_violation <= 10 * opts.tol_feas
-            assert sol.duality_gap <= 10 * opts.tol_gap
+            report = verify(problem, sol, tol=10 * sdp_module.TOL_FEAS)
+            assert report.max_violation <= 10 * sdp_module.TOL_FEAS
+            assert sol.duality_gap <= 10 * sdp_module.TOL_GAP
 
 
 class TestTailConvergence:
@@ -197,16 +195,15 @@ class TestTailConvergence:
         # stalled the primal step until the 100-iteration cap
         topo = generate_topology(seed=16, n_rrh=3, n_it=3, n_et=7)
         ch = draw_channels(topo, seed=16, slot=0)
-        opts = SolverOptions()
         objectives = []
         for division in (
             GroupDivision(7, frozenset({2})),
             GroupDivision.all_fet(7),
         ):
             problem = build_sdp(topo, ch, division, SystemParams())
-            sol = solve(problem, opts)
+            sol = solve(problem)
             assert sol.status is SdpStatus.OPTIMAL, sol.detail
-            assert sol.iterations < opts.max_iters
+            assert sol.iterations < sdp_module.MAX_ITERS
             assert verify(problem, sol).passed
             objectives.append(sol.objective_value)
         assert objectives[0] == pytest.approx(objectives[1], rel=1e-7)
@@ -323,9 +320,9 @@ class TestSolveBatch:
         ],
     )
     def test_mixed_outcomes_match_solving_alone(self, monkeypatch, max_iters, statuses):
-        opts = SolverOptions(max_iters=max_iters)
+        monkeypatch.setattr(sdp_module, "MAX_ITERS", max_iters)
         problems = _mixed_outcome_batch()
-        alone = [solve(p, opts) for p in problems]
+        alone = [solve(p) for p in problems]
         failed = []
         cholesky = np.linalg.cholesky
 
@@ -337,7 +334,7 @@ class TestSolveBatch:
                 raise
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-        batch = solve_batch(problems, opts)
+        batch = solve_batch(problems)
         assert [s.status.value for s in batch] == statuses
         assert batch[1].detail.startswith("Farkas")
         if max_iters == 100:
@@ -603,7 +600,7 @@ class TestSolveKey:
     def test_equal_content_gives_equal_keys(self):
         a, b = self._problem(), self._problem()
         assert a.constraints[0].blocks[0] is not b.constraints[0].blocks[0]
-        assert solve_key(a) == solve_key(b) == solve_key(a, SolverOptions())
+        assert solve_key(a) == solve_key(b)
 
     def test_every_part_of_the_content_counts(self):
         base = solve_key(self._problem())
@@ -611,7 +608,6 @@ class TestSolveKey:
         assert solve_key(self._problem(p_fmin=5e-6)) != base  # an rhs
         assert solve_key(self._problem(gamma=2.0)) != base  # an objective block
         assert solve_key(self._problem(beta=2.0)) != base  # an objective scalar
-        assert solve_key(self._problem(), SolverOptions(max_iters=99)) != base
 
     def test_parameters_the_sdp_does_not_read_leave_the_key(self):
         all_fet = frozenset(range(7))

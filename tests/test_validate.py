@@ -2,9 +2,9 @@
 
 import dataclasses
 
+from swiptcran import sdp as sdp_module
 from swiptcran import validate
 from swiptcran.beamform import GroupDivision
-from swiptcran.sdp import SolverOptions
 from swiptcran.validate import check_solver_accuracy, run_all_checks
 
 EXPECTED_CHECKS = {
@@ -20,7 +20,7 @@ EXPECTED_CHECKS = {
 
 class TestRunAllChecks:
     def test_all_checks_pass_under_defaults(self):
-        results = run_all_checks(SolverOptions())
+        results = run_all_checks()
         assert {r.name for r in results} == EXPECTED_CHECKS
         assert len(results) == len(EXPECTED_CHECKS)
         failures = [r for r in results if not r.passed]
@@ -28,9 +28,10 @@ class TestRunAllChecks:
         for r in results:
             assert r.detail
 
-    def test_checks_can_fail(self):
+    def test_checks_can_fail(self, monkeypatch):
         # a crippled solver must be reported, not crash the suite
-        result = check_solver_accuracy(SolverOptions(max_iters=2))
+        monkeypatch.setattr(sdp_module, "MAX_ITERS", 2)
+        result = check_solver_accuracy()
         assert not result.passed
         assert "seed" in result.detail
 
@@ -44,6 +45,6 @@ class TestRunAllChecks:
             return dataclasses.replace(result, history=(stray, *result.history))
 
         monkeypatch.setattr(validate, "algorithm1", with_short_division)
-        result = validate.check_division_invariants(SolverOptions())
+        result = validate.check_division_invariants()
         assert not result.passed
         assert "covers 4 ETs, the topology has 5" in result.detail
