@@ -439,9 +439,13 @@ def solve_division(
     channels,
     division: GroupDivision,
     params: SystemParams,
+    problem: SdpProblem | None = None,
 ) -> tuple[PowerReport, SdpSolution]:
-    """Build and solve the SDP for one division."""
-    solution = solve(build_sdp(topology, channels, division, params))
+    """Solve the SDP for one division: `problem` if the caller built it
+    already with `build_sdp` on the same arguments, else a new build."""
+    if problem is None:
+        problem = build_sdp(topology, channels, division, params)
+    solution = solve(problem)
     return _division_report(topology, solution, params), solution
 
 

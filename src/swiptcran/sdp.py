@@ -40,6 +40,18 @@ planner picks for it, and the other einsum calls run unplanned.  These forms
 are fixed on purpose.  A contraction reordered, even into one equal in exact
 arithmetic, rounds differently and moves the iterates.
 
+Every `solve` and `eigvalsh` of the solver calls numpy's LAPACK gufunc
+(`numpy.linalg._umath_linalg`) directly, through `_solve` and `_eigvalsh`.
+On these small stacks the `np.linalg` wrapper (type and shape checks and an
+errstate per call) costs as much as the kernel; the kernel and its inputs
+are the same, so the bits are too.  Outside the wrapper a failed kernel
+returns NaN instead of raising, and a row whose step length comes out NaN
+ends as a numerical breakdown.  `np.linalg.cholesky` stays public: its
+LinAlgError is the interiority test and the Schur jitter trigger.  In the
+same spirit `SdpProblem.validate` checks and cleans all of a problem's
+coefficient matrices as one stack per block dimension, and `_Batch` embeds
+all of a batch's matrices in one call per group.
+
 Statuses (homogeneous self-dual embedding is NOT used): every status other
 than Optimal is either certified or MaxIterations.  Infeasible comes only
 from a Farkas ray certificate extracted from the normalized dual iterate,
@@ -61,6 +73,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 _SENSES = (">=", "<=", "=")
 _HERM_TOL = 1e-10
@@ -82,17 +95,36 @@ MAX_ITERS = 100
 STEP_FRAC = 0.98
 
 
-def _clean_herm(mat: np.ndarray, dim: int, what: str) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.complex128)
-    if a.shape != (dim, dim):
-        raise ValueError(f"{what}: expected shape {(dim, dim)}, got {a.shape}")
-    if not np.isfinite(a).all():  # complex isfinite: both parts finite
-        raise ValueError(f"{what}: non-finite entries")
-    a_h = a.conj().T
-    scale = 1.0 + float(np.max(np.abs(a))) if a.size else 1.0
-    if float(np.max(np.abs(a - a_h))) > _HERM_TOL * scale:
-        raise ValueError(f"{what}: not Hermitian")
-    return (a + a_h) / 2.0
+# LAPACK kernels without the `np.linalg` wrapper; see the module docstring
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.linalg.solve(a, b)` for real stacks, b a (broadcast) stack of matrices."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.eigvalsh(a)` for real symmetric or complex Hermitian stacks."""
+    return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _clean_herm(arrays: list) -> tuple[np.ndarray, list]:
+    """Check complex square arrays of one shape and make them Hermitian, all at once.
+
+    Returns the stack of Hermitian parts (A + A^H) / 2 and, per array, None
+    or the words of its error: "non-finite entries" or "not Hermitian" (an
+    array whose deviation from A^H exceeds `_HERM_TOL` times 1 + max|A|).
+    """
+    a = np.stack(arrays)
+    finite = np.isfinite(a).all(axis=(1, 2))  # complex isfinite: both parts finite
+    if not finite.all():
+        # zero them before the symmetry test, whose inf - inf would warn
+        a = np.where(finite[:, None, None], a, 0.0)
+    a_h = a.conj().swapaxes(1, 2)
+    herm = np.abs(a - a_h).max(axis=(1, 2)) <= _HERM_TOL * (1.0 + np.abs(a).max(axis=(1, 2)))
+    errors = [
+        None if h else "not Hermitian" if f else "non-finite entries"
+        for f, h in zip(finite.tolist(), (finite & herm).tolist())
+    ]
+    return (a + a_h) / 2.0, errors
 
 
 @dataclass(frozen=True)
@@ -130,10 +162,12 @@ class SdpProblem:
 
         Returns (objective blocks, constraint blocks): block index -> cleaned
         matrix, the second once per constraint.  `solve` assembles its
-        standard form from these.  An array object that several blocks share
-        (`build_sdp` passes one per row to all of its blocks) is cleaned once
-        per block dimension, and those blocks share the cleaned matrix; an
-        error names the first block where the array appears.
+        standard form from these.  The arrays are checked and cleaned in one
+        stacked pass per block dimension.  An array object that several
+        blocks share (`build_sdp` passes one per row to all of its blocks) is
+        cleaned once per block dimension, and those blocks share the cleaned
+        matrix.  The first error in reading order is raised, and an error of
+        an array names the first block where the array appears.
         """
         dims = tuple(int(d) for d in self.block_dims)
         if any(d < 1 for d in dims):
@@ -142,40 +176,62 @@ class SdpProblem:
             raise ValueError("n_scalars must be >= 0")
         if len(dims) == 0 and self.n_scalars == 0:
             raise ValueError("problem has no variables")
-        # (id, dim) -> cleaned; every keyed array lives in self while this runs
+        # each distinct (array, dim) once, in reading order: (array, dim, block name)
+        arrays = []
+        # (id, dim) -> index into arrays; every keyed array lives in self while this runs
         seen = {}
 
-        def clean(mat, b, what):
-            key = (id(mat), dims[b])
-            if key not in seen:
-                seen[key] = _clean_herm(mat, dims[b], what)
-            return seen[key]
+        def parts():
+            yield "objective", self.obj_blocks, self.obj_scalars
+            for k, con in enumerate(self.constraints):
+                if not isinstance(con, SdpConstraint):
+                    raise TypeError(f"constraint {k} is not an SdpConstraint")
+                yield f"constraint {k}", con.blocks, con.scalars
 
-        obj_blocks = {}
-        for b, mat in self.obj_blocks.items():
-            if not 0 <= b < len(dims):
-                raise ValueError(f"objective references unknown block {b}")
-            obj_blocks[b] = clean(mat, b, f"objective block {b}")
-        for j, v in self.obj_scalars.items():
-            if not 0 <= j < self.n_scalars:
-                raise ValueError(f"objective references unknown scalar {j}")
-            if not math.isfinite(float(v)):
-                raise ValueError("objective scalar coefficients must be finite")
-        con_blocks = []
-        for k, con in enumerate(self.constraints):
-            if not isinstance(con, SdpConstraint):
-                raise TypeError(f"constraint {k} is not an SdpConstraint")
-            cleaned = {}
-            for b, mat in con.blocks.items():
-                if not 0 <= b < len(dims):
-                    raise ValueError(f"constraint {k} references unknown block {b}")
-                cleaned[b] = clean(mat, b, f"constraint {k} block {b}")
-            con_blocks.append(cleaned)
-            for j, v in con.scalars.items():
-                if not 0 <= j < self.n_scalars:
-                    raise ValueError(f"constraint {k} references unknown scalar {j}")
-                if not math.isfinite(float(v)):
-                    raise ValueError(f"constraint {k}: non-finite scalar coefficient")
+        # the walk stops at the first error that is not an array's, but an
+        # array read before it may still fail, and then its error comes first
+        block_at, error = [], None
+        try:
+            for name, blocks, scalars in parts():
+                block_at.append({})
+                for b, mat in blocks.items():
+                    if not 0 <= b < len(dims):
+                        raise ValueError(f"{name} references unknown block {b}")
+                    key = (id(mat), dims[b])
+                    if key not in seen:
+                        seen[key] = len(arrays)
+                        arrays.append((mat, dims[b], f"{name} block {b}"))
+                    block_at[-1][b] = seen[key]
+                for j, v in scalars.items():
+                    if not 0 <= j < self.n_scalars:
+                        raise ValueError(f"{name} references unknown scalar {j}")
+                    if not math.isfinite(float(v)):
+                        raise ValueError(
+                            "objective scalar coefficients must be finite" if name == "objective"
+                            else f"{name}: non-finite scalar coefficient"
+                        )
+        except (TypeError, ValueError) as exc:
+            error = exc
+
+        cleaned = [None] * len(arrays)
+        errors = [None] * len(arrays)
+        by_dim = {}
+        for i, (mat, dim, _) in enumerate(arrays):
+            a = np.asarray(mat, dtype=np.complex128)
+            if a.shape == (dim, dim):
+                by_dim.setdefault(dim, []).append((i, a))
+            else:
+                errors[i] = f"expected shape {(dim, dim)}, got {a.shape}"
+        for group in by_dim.values():
+            stack, errs = _clean_herm([a for _, a in group])
+            for (i, _), h, err in zip(group, stack, errs):
+                cleaned[i], errors[i] = h, err
+        for (_, _, what), err in zip(arrays, errors):
+            if err is not None:
+                raise ValueError(f"{what}: {err}")
+        if error is not None:
+            raise error
+        obj_blocks, *con_blocks = ({b: cleaned[i] for b, i in at.items()} for at in block_at)
         return obj_blocks, tuple(con_blocks)
 
 
@@ -206,20 +262,20 @@ class VerifyReport:
 # real embedding of Hermitian matrices
 
 def _embed(h: np.ndarray) -> np.ndarray:
-    """m x m Hermitian -> 2m x 2m real symmetric [[P, -Q], [Q, P]]."""
-    m = h.shape[0]
-    out = np.empty((2 * m, 2 * m))
-    out[:m, :m] = out[m:, m:] = h.real
-    out[:m, m:] = -h.imag
-    out[m:, :m] = h.imag
+    """m x m Hermitian -> 2m x 2m real symmetric [[P, -Q], [Q, P]], over a stack."""
+    m = h.shape[-1]
+    out = np.empty(h.shape[:-2] + (2 * m, 2 * m))
+    out[..., :m, :m] = out[..., m:, m:] = h.real
+    out[..., :m, m:] = -h.imag
+    out[..., m:, :m] = h.imag
     return out
 
 
 def _unembed(x: np.ndarray) -> np.ndarray:
-    """Inverse map: tr(embed(A)/2 . X) = tr(A . unembed(X)) for symmetric X."""
-    m = x.shape[0] // 2
-    w = (x[:m, :m] + x[m:, m:]) / 2.0 + 1j * (x[m:, :m] - x[:m, m:]) / 2.0
-    return (w + w.conj().T) / 2.0
+    """Inverse map over a stack: tr(embed(A)/2 . X) = tr(A . unembed(X)) for symmetric X."""
+    m = x.shape[-1] // 2
+    w = (x[..., :m, :m] + x[..., m:, m:]) / 2.0 + 1j * (x[..., m:, :m] - x[..., :m, m:]) / 2.0
+    return (w + w.conj().swapaxes(-1, -2)) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +333,9 @@ def _max_steps(chol: np.ndarray, d: np.ndarray) -> list:
     `chol` holds the Cholesky factors of one group's stacks (X, S) and `d`
     the matching stacks (dX, dS); the two halves share one chain of calls.
     """
-    y = np.linalg.solve(chol, d)
-    y = np.linalg.solve(chol, y.swapaxes(-1, -2))
-    lam = np.linalg.eigvalsh(_sym(y))
+    y = _solve(chol, d)
+    y = _solve(chol, y.swapaxes(-1, -2))
+    lam = _eigvalsh(_sym(y))
     worst = lam.reshape(len(lam), 2, -1).min(axis=2).tolist()
     return [[math.inf if w >= -1e-14 else 1.0 / (-w) for w in pair] for pair in worst]
 
@@ -361,31 +417,32 @@ class _Batch:
         self.G = np.zeros((n, k_total, self.n_u))
         self.c_u = np.zeros((n, self.n_u))
         self.r = np.zeros((n, k_total))
-        # id -> embedded; blocks that share a cleaned matrix share its embedding
-        embedded = {}
-
-        def embed(mat):
-            if id(mat) not in embedded:
-                embedded[id(mat)] = _embed(mat) / 2.0
-            return embedded[id(mat)]
-
+        # per group, (problem, position, matrix) of each objective block and
+        # (problem, constraint, position, matrix) of each constraint block
+        c_at = [[] for _ in self.groups]
+        a_at = [[] for _ in self.groups]
         for p, (problem, (obj_blocks, con_blocks)) in enumerate(zip(problems, cleaned)):
             for b, mat in obj_blocks.items():
                 g, pos = where[b]
-                self.C[g][p, pos] = embed(mat)
+                c_at[g].append((p, pos, mat))
             for j, v in problem.obj_scalars.items():
                 self.c_u[p, j] = float(v)
             slack_col = problem.n_scalars
             for k, con in enumerate(problem.constraints):
                 for b, mat in con_blocks[k].items():
                     g, pos = where[b]
-                    self.A[g][p, k, pos] = embed(mat)
+                    a_at[g].append((p, k, pos, mat))
                 for j, v in con.scalars.items():
                     self.G[p, k, j] = float(v)
                 self.r[p, k] = float(con.rhs)
                 if con.sense != "=":
                     self.G[p, k, slack_col] = -1.0 if con.sense == ">=" else 1.0
                     slack_col += 1
+        for dest, at in zip(self.C + self.A, c_at + a_at):
+            if at:
+                *where_at, mats = zip(*at)
+                dest[tuple(where_at)] = _embed(np.stack(mats)) / 2.0
+        for p in range(n):
             self._normalize(p)
         self.r_norm = np.array([np.linalg.norm(r) for r in self.r])
         self.ids = np.arange(n)
@@ -627,7 +684,7 @@ def _infeasibility_certificates(bt: _Batch, skip) -> dict:
     worst = [-math.inf] * len(rows)
     for A in bt.A:
         zb = np.einsum("pk,pkbij->pbij", yn, A[sel])
-        top = np.linalg.eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
+        top = _eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
         worst = [max(w, t) for w, t in zip(worst, top)]
     if bt.n_u:
         gvs = _mv(bt.G[sel].swapaxes(1, 2), yn).max(axis=1).tolist()
@@ -655,7 +712,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     sinvs, ms = [], np.zeros((n, k_total, k_total))
     for A, x, chol in zip(bt.A, bt.X, bt.chol):
         chol_s = chol[:, x.shape[1]:]
-        linv = np.linalg.solve(chol_s, np.eye(x.shape[-1]))
+        linv = _solve(chol_s, np.eye(x.shape[-1]))
         sinv = _sym(linv.swapaxes(-1, -2) @ linv)
         sinvs.append(sinv)
         if k_total:
@@ -686,7 +743,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
         for A, x, sinv, corr, rd in zip(bt.A, bt.X, sinvs, corrs, rds):
             h -= _adjoint_dot(A, x_part(x, sinv, smu_x, corr, rd))
         h -= _mv(bt.G, u_part(smu_u, corr_u, rd_u))
-        dy = np.linalg.solve(ms_chol_t, np.linalg.solve(ms_chol, h[:, :, None]))[:, :, 0]
+        dy = _solve(ms_chol_t, _solve(ms_chol, h[:, :, None]))[:, :, 0]
         dss, dxs = [], []
         for A, x, sinv, corr, rd in zip(bt.A, bt.X, sinvs, corrs, rds):
             ds = rd - np.einsum("pk,pkbij->pbij", dy, A)
@@ -699,14 +756,20 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     uz = np.concatenate((bt.u, bt.z), axis=1)
 
     def step_lengths(dxs, dss, du, dz, frac):
-        """Per problem (ap, ad), as Python floats."""
+        """Per problem (ap, ad), as Python floats.  A row with a NaN cone step
+        (a failed kernel) is marked broken; `min` would drop that NaN."""
         steps = [
             _max_steps(chol, np.concatenate((dx, ds), axis=1))
             for chol, dx, ds in zip(bt.chol, dxs, dss)
         ]
-        vec = _max_step_vec(uz, np.concatenate((du, dz), axis=1))
-        ap = [min(1.0, *[frac * st[i][0] for st in steps], frac * vec[i][0]) for i in range(n)]
-        ad = [min(1.0, *[frac * st[i][1] for st in steps], frac * vec[i][1]) for i in range(n)]
+        steps.append(_max_step_vec(uz, np.concatenate((du, dz), axis=1)))
+        ap, ad = [], []
+        for i in range(n):
+            p, d = zip(*(st[i] for st in steps))
+            if any(map(math.isnan, p + d)):
+                broken.setdefault(i, "non-finite step length")
+            ap.append(min(1.0, *[frac * v for v in p]))
+            ad.append(min(1.0, *[frac * v for v in d]))
         return ap, ad
 
     dy_a, dxs_a, dss_a, du_a, dz_a = directions(0.0, 0.0, [0.0] * len(bt.X), 0.0)
@@ -718,7 +781,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     ) + _dot(bt.u + ap[:, None] * du_a, bt.z + ad[:, None] * dz_a)
     sigma_mu = []
     for i, (c, m) in enumerate(zip(comp_aff.tolist(), mu)):
-        if i in broken:  # its direction is a placeholder; the cube could overflow
+        if i in broken:  # its direction is a placeholder or NaN; the cube could overflow
             sigma_mu.append(0.0)
             continue
         mu_aff = c / bt.cone_dim
@@ -731,7 +794,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     )
     ap, ad = step_lengths(dxs, dss, du, dz, STEP_FRAC)
     for i, (p, d) in enumerate(zip(ap, ad)):
-        if not (math.isfinite(p) and math.isfinite(d)) or p <= 0 or d <= 0:
+        if p <= 0 or d <= 0:
             broken.setdefault(i, "degenerate step length")
     rows = [i for i in range(n) if i not in broken]
     for i in _advance(bt, rows, dy, dxs, dss, du, dz, np.array(ap), np.array(ad)):
@@ -792,10 +855,11 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
 def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):
     """The solution of one problem from its rows `xs` (per group of the
     layout `groups`) and `u`."""
+    ws = [_unembed(x) for x in xs]
     blocks = [None] * len(problem.block_dims)
-    for (_, ids), x in zip(groups, xs):
+    for (_, ids), w in zip(groups, ws):
         for pos, b in enumerate(ids):
-            blocks[b] = _unembed(x[pos])
+            blocks[b] = w[pos]
     scal = u[: problem.n_scalars].copy()
     obj = 0.0
     for b, mat in problem.obj_blocks.items():
@@ -803,9 +867,9 @@ def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):
     for j, v in problem.obj_scalars.items():
         obj += float(v) * float(scal[j])
     if status == SdpStatus.OPTIMAL:
-        worst = min(
-            (float(np.linalg.eigvalsh(w).min()) for w in blocks), default=0.0
-        )
+        # an Optimal iterate is finite, and min over finite floats is exact,
+        # so taking it per group gives the per-block minimum
+        worst = min((float(_eigvalsh(w).min()) for w in ws), default=0.0)
         if worst < -TOL_PSD:
             status = SdpStatus.MAX_ITERATIONS
             detail = f"returned block eigenvalue {worst:.2e} below -TOL_PSD"

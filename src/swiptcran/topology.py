@@ -9,6 +9,7 @@ over the union of the cells.  Downlink channels are i.i.d. Rayleigh with a
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,6 +75,17 @@ class NetworkTopology:
     def et_distances(self) -> np.ndarray:
         """Distance matrix RRH x ET, meters."""
         return _distances(self.rrh_positions, self.et_positions)
+
+    @functools.cached_property
+    def assigned_rrhs(self) -> tuple[tuple[int, float], ...]:
+        """Per ET, its closest RRH and the (unclamped) distance to it.
+
+        Ties break toward the lowest RRH index.  Computed on first use and
+        kept, since the positions are frozen.
+        """
+        d = self.et_distances()
+        nearest = np.argmin(d, axis=0)  # argmin returns the first minimum: lowest index wins
+        return tuple((int(n), float(d[n, j])) for j, n in enumerate(nearest))
 
 
 @dataclass(frozen=True)
@@ -207,10 +219,8 @@ def draw_channels(
 def assigned_rrh(topology: NetworkTopology, et_index: int) -> tuple[int, float]:
     """Closest RRH of an ET and the (unclamped) distance to it.
 
-    Ties break toward the lowest RRH index.
+    Ties break toward the lowest RRH index; see `NetworkTopology.assigned_rrhs`.
     """
     if not 0 <= et_index < topology.n_et:
         raise IndexError(f"et_index {et_index} out of range")
-    d = topology.et_distances()[:, et_index]
-    n = int(np.argmin(d))  # argmin returns the first minimum: lowest index wins
-    return n, float(d[n])
+    return topology.assigned_rrhs[et_index]

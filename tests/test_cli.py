@@ -130,13 +130,20 @@ class TestMainSingleSlot:
         path.write_text("run.warp_speed = 9\n", encoding="utf-8")
         assert main(["single-slot", "--config", str(path)]) == 1
 
-    @pytest.mark.parametrize("line", ["solver.max_iters = -1", "run.threshold = 1.5"])
+    BAD_VALUES = {
+        "topology.inter_rrh_distance = -1": "inter_rrh_distance must be positive",
+        "run.threshold = 1.5": "run.threshold must lie in [0, 1]",
+    }
+
+    @pytest.mark.parametrize("line", BAD_VALUES)
     def test_bad_config_value_exits_before_any_trial(self, tmp_path, capsys, line):
         path = tmp_path / "bad.conf"
         path.write_text(f"topology.n_it = 3\nrun.n_trials = 1\n{line}\n", encoding="utf-8")
         out = tmp_path / "o.csv"
         assert main(["longterm", "--config", str(path), "--out", str(out)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err
+        assert self.BAD_VALUES[line] in err
         assert not out.exists()
 
     @pytest.mark.parametrize("algorithms", ["all-met,all-met", ""])
@@ -249,9 +256,9 @@ class TestSweepStore:
         masks = []
         real = division_module.solve_division
 
-        def counted(topology, channels, division, params):
+        def counted(topology, channels, division, params, problem=None):
             masks.append(division.to_bitmask())
-            return real(topology, channels, division, params)
+            return real(topology, channels, division, params, problem)
 
         monkeypatch.setattr(division_module, "solve_division", counted)
         return masks

@@ -375,9 +375,9 @@ class TestInstance:
         masks = []
         real = division_module.solve_division
 
-        def counted(topology, channels, division, params):
+        def counted(topology, channels, division, params, problem=None):
             masks.append(division.to_bitmask())
-            return real(topology, channels, division, params)
+            return real(topology, channels, division, params, problem)
 
         monkeypatch.setattr(division_module, "solve_division", counted)
         return masks

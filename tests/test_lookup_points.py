@@ -31,7 +31,7 @@ def parent(s):
     return spans[s[PARENT]][NAME] if s[PARENT] >= 0 else None
 with open(out, "w", encoding="utf-8") as fh:
     json.dump({
-        "single": [s[NAME] for s in spans[:first]],
+        "single": [[s[NAME], parent(s)] for s in spans[:first]],
         "longterm": [[s[NAME], parent(s)] for s in spans[first:]],
     }, fh)
 """
@@ -52,6 +52,12 @@ def test_every_division_span_is_recorded(tmp_path):
         cwd=tmp_path, check=True, capture_output=True, timeout=300,
     )
     spans = json.loads(out.read_text(encoding="utf-8"))
+    single = [name for name, _ in spans["single"]]
     for alg in ("alg1", "alg2", "brute", "all-fet", "all-met"):
-        assert f"division.{alg}" in spans["single"]
+        assert f"division.{alg}" in single
+    # a search builds each SDP once, through the traced builder, and a miss
+    # solves that build: no build sits under the solve
+    builds = [parent for name, parent in spans["single"] if name == "beamform.build_sdp"]
+    assert builds
+    assert all(parent.startswith("division.") for parent in builds)
     assert ["division.alg2", "longterm.training_stage"] in spans["longterm"]

@@ -1,5 +1,7 @@
 """Tests for the dense block-PSD interior-point solver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from swiptcran.sdp import (
     SdpProblem,
     SdpSolution,
     SdpStatus,
-    _clean_herm,
     dump_problem,
     load_problem,
     solve,
@@ -26,6 +27,16 @@ from swiptcran.sdp import (
 )
 from swiptcran.longterm import mask_fet_channels
 from swiptcran.topology import draw_channels, generate_topology
+
+
+def _clean_one(mat, dim):
+    """One matrix's Hermitian part, checked as a loop over blocks would: the
+    reference that `SdpProblem.validate`'s stacked pass must match bit for bit."""
+    a = np.asarray(mat, dtype=np.complex128)
+    assert a.shape == (dim, dim) and np.isfinite(a).all()
+    a_h = a.conj().T
+    assert float(np.max(np.abs(a - a_h))) <= 1e-10 * (1.0 + float(np.max(np.abs(a))))
+    return (a + a_h) / 2.0
 
 
 def _scalar_problem(constraints, obj=1.0):
@@ -244,6 +255,29 @@ class TestCallCounts:
         # backtrack or a jitter retry) allows one more
         assert counts["cholesky"] <= 2 * sol.iterations + 1 + counts["cholesky_failed"]
 
+    def test_kernels_bypass_the_linalg_wrappers(self, monkeypatch):
+        # every solve and eigvalsh of a solve calls the LAPACK gufunc itself
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        ch = draw_channels(topo, seed=5, slot=0)
+        problem = build_sdp(topo, ch, GroupDivision.all_met(7), SystemParams())
+        counts = {"solve": 0, "eigvalsh": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in counts:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.iterations > 0
+        assert counts == {"solve": 0, "eigvalsh": 0}
+
     def test_schur_jitter_recovers_a_repeated_equality_row(self, monkeypatch):
         # the same row twice makes the Schur matrix singular, so its
         # factorization needs the jitter escalation
@@ -268,6 +302,42 @@ class TestCallCounts:
         # min tr(X) s.t. tr(A X) = 1 is 1 / lambda_max(A)
         assert sol.objective_value == pytest.approx(1.0 / np.linalg.eigvalsh(a).max(), rel=1e-7)
         assert sol.objective_value == pytest.approx(0.45308183946793706, rel=1e-12)
+
+
+class TestKernels:
+    """The LAPACK shim returns `np.linalg`'s bits on the stacks the IPM passes."""
+
+    @staticmethod
+    def _factors(rng, shape):
+        m = rng.standard_normal(shape)
+        return np.linalg.cholesky(m @ m.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1]))
+
+    @pytest.mark.parametrize("n_problems", [1, 3, 16])
+    def test_solve_matches_linalg(self, n_problems):
+        rng = np.random.default_rng(n_problems)
+        # the step-length solves: (X, S) factors of 3 blocks against (dX, dS)
+        chol = self._factors(rng, (n_problems, 6, 6, 6))
+        d = rng.standard_normal((n_problems, 6, 6, 6))
+        np.testing.assert_array_equal(sdp_module._solve(chol, d), np.linalg.solve(chol, d))
+        # S^-1 from the S factors and a broadcast identity
+        np.testing.assert_array_equal(
+            sdp_module._solve(chol[:, 3:], np.eye(6)), np.linalg.solve(chol[:, 3:], np.eye(6))
+        )
+        # the Schur solves: (P, K, K) factors against (P, K, 1)
+        schur = self._factors(rng, (n_problems, 13, 13))
+        h = rng.standard_normal((n_problems, 13, 1))
+        np.testing.assert_array_equal(sdp_module._solve(schur, h), np.linalg.solve(schur, h))
+
+    @pytest.mark.parametrize("n_problems", [1, 3, 16])
+    def test_eigvalsh_matches_linalg(self, n_problems):
+        rng = np.random.default_rng(100 + n_problems)
+        real = rng.standard_normal((n_problems, 6, 6, 6))
+        real = real + real.swapaxes(-1, -2)
+        np.testing.assert_array_equal(sdp_module._eigvalsh(real), np.linalg.eigvalsh(real))
+        # the returned blocks' PSD check runs on complex Hermitian stacks
+        herm = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        herm = herm + herm.conj().swapaxes(-1, -2)
+        np.testing.assert_array_equal(sdp_module._eigvalsh(herm), np.linalg.eigvalsh(herm))
 
 
 def _assert_same_solution(got, alone):
@@ -361,6 +431,26 @@ class TestSolveBatch:
         assert batch[3].status is SdpStatus.MAX_ITERATIONS
         assert batch[3].detail == "numerical breakdown: Schur complement factorization failed"
         for got, problem in zip(batch, problems):
+            _assert_same_solution(got, solve(problem))
+
+    def test_a_nan_step_ends_only_its_problem(self, monkeypatch):
+        # a failed kernel returns NaN; `min(1.0, nan)` is 1.0, so a NaN step
+        # must end its row before it is taken as a full step
+        max_steps = sdp_module._max_steps
+        problems = _mixed_outcome_batch()
+
+        def nan_for_first(chol, d):
+            steps = max_steps(chol, d)
+            if len(steps) == len(problems):  # the whole batch: problem 0 is row 0
+                steps[0] = [float("nan"), float("nan")]
+            return steps
+
+        monkeypatch.setattr(sdp_module, "_max_steps", nan_for_first)
+        batch = solve_batch(problems)
+        assert batch[0].status is SdpStatus.MAX_ITERATIONS
+        assert batch[0].detail == "numerical breakdown: non-finite step length"
+        assert batch[0].iterations == 0
+        for got, problem in zip(batch[1:], problems[1:]):
             _assert_same_solution(got, solve(problem))
 
     def test_oracle_variants_match_solving_alone(self):
@@ -547,6 +637,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"^constraint 1 block 0: not Hermitian$"):
             problem.validate()
 
+    def test_first_bad_array_names_the_error(self):
+        nan = np.eye(2, dtype=complex)
+        nan[0, 0] = np.nan
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        first = SdpConstraint({0: nan}, {}, ">=", 1.0)
+        second = SdpConstraint({0: skew}, {}, ">=", 1.0)
+        with pytest.raises(ValueError, match=r"^constraint 0 block 0: non-finite entries$"):
+            SdpProblem((2,), 0, {}, {}, (first, second)).validate()
+        with pytest.raises(ValueError, match=r"^constraint 0 block 0: not Hermitian$"):
+            SdpProblem((2,), 0, {}, {}, (second, first)).validate()
+        # an array error before a structural one is raised first, and after it, not
+        unknown = SdpConstraint({3: np.eye(2)}, {}, ">=", 1.0)
+        with pytest.raises(ValueError, match=r"^constraint 0 block 0: not Hermitian$"):
+            SdpProblem((2,), 0, {}, {}, (second, unknown)).validate()
+        with pytest.raises(ValueError, match=r"^constraint 0 references unknown block 3$"):
+            SdpProblem((2,), 0, {}, {}, (unknown, second)).validate()
+
+    def test_non_finite_arrays_raise_no_warning(self):
+        inf = np.eye(2, dtype=complex)
+        inf[0, 1] = np.inf
+        problem = SdpProblem((2,), 0, {0: np.eye(2)}, {}, (SdpConstraint({0: inf}, {}, ">=", 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="constraint 0 block 0: non-finite entries"):
+                problem.validate()
+
     def test_shared_arrays_clean_as_each_block_alone(self):
         topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
         problem = build_sdp(
@@ -554,11 +670,11 @@ class TestProblemValidation:
         )
         obj_blocks, con_blocks = problem.validate()
         for b, mat in problem.obj_blocks.items():
-            np.testing.assert_array_equal(obj_blocks[b], _clean_herm(mat, 3, "objective"))
+            np.testing.assert_array_equal(obj_blocks[b], _clean_one(mat, 3))
         for con, cleaned in zip(problem.constraints, con_blocks):
             assert cleaned.keys() == con.blocks.keys()
             for b, mat in con.blocks.items():
-                np.testing.assert_array_equal(cleaned[b], _clean_herm(mat, 3, "constraint"))
+                np.testing.assert_array_equal(cleaned[b], _clean_one(mat, 3))
 
     def test_shared_array_checked_against_each_block_dimension(self):
         mat = np.eye(2)

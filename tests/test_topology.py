@@ -196,5 +196,6 @@ class TestAssignedRrh:
 
     def test_rejects_bad_index(self):
         topo = _single_cell((Position(1.0, 1.0),))
-        with pytest.raises(IndexError):
-            assigned_rrh(topo, 5)
+        for bad in (5, -1):
+            with pytest.raises(IndexError):
+                assigned_rrh(topo, bad)
