@@ -40,17 +40,20 @@ planner picks for it, and the other einsum calls run unplanned.  These forms
 are fixed on purpose.  A contraction reordered, even into one equal in exact
 arithmetic, rounds differently and moves the iterates.
 
-Every `solve` and `eigvalsh` of the solver calls numpy's LAPACK gufunc
-(`numpy.linalg._umath_linalg`) directly, through `_solve` and `_eigvalsh`.
-On these small stacks the `np.linalg` wrapper (type and shape checks and an
-errstate per call) costs as much as the kernel; the kernel and its inputs
-are the same, so the bits are too.  Outside the wrapper a failed kernel
-returns NaN instead of raising, and a row whose step length comes out NaN
-ends as a numerical breakdown.  `np.linalg.cholesky` stays public: its
-LinAlgError is the interiority test and the Schur jitter trigger.  In the
-same spirit `SdpProblem.validate` checks and cleans all of a problem's
-coefficient matrices as one stack per block dimension, and `_Batch` embeds
-all of a batch's matrices in one call per group.
+Every `solve`, `eigvalsh` and `cholesky` of the solver calls numpy's LAPACK
+gufunc (`numpy.linalg._umath_linalg`) directly, through `_solve`,
+`_eigvalsh` and `_cholesky`.  On these small stacks the `np.linalg` wrapper
+(type and shape checks and an errstate per call) costs as much as the
+kernel; the kernel and its inputs are the same, so the bits are too.
+Outside the wrapper a failed kernel returns NaN for the matrix that failed
+instead of raising for the stack.  A row whose step length comes out NaN
+ends as a numerical breakdown, and a Cholesky factor with a NaN marks a
+matrix that did not factor: the interiority back-off and the Schur jitter
+retry act on those rows only, in one stacked call per try.  A failed
+kernel sets the FP invalid flag, so each call that can fail runs inside the
+IPM's errstate.  In the same spirit `SdpProblem.validate` checks and cleans
+all of a problem's coefficient matrices as one stack per block dimension,
+and `_Batch` embeds all of a batch's matrices in one call per group.
 
 Statuses (homogeneous self-dual embedding is NOT used): every status other
 than Optimal is either certified or MaxIterations.  Infeasible comes only
@@ -104,6 +107,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     """`np.linalg.eigvalsh(a)` for real symmetric or complex Hermitian stacks."""
     return _umath_linalg.eigvalsh_lo(a, signature="D->d" if a.dtype.kind == "c" else "d->d")
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """`np.linalg.cholesky(a)` for real stacks, except that a matrix that does
+    not factor gets an all-NaN factor instead of a LinAlgError for the stack.
+    That failure sets the FP invalid flag: call it under errstate(invalid=...)."""
+    return _umath_linalg.cholesky_lo(a, signature="d->d")
+
+
+def _factored(factors: np.ndarray) -> np.ndarray:
+    """Per entry of a `_cholesky` stack's leading axis, whether its matrices
+    factored: a NaN anywhere set the invalid flag that `np.linalg.cholesky` raises on."""
+    return ~np.isnan(factors).any(axis=tuple(range(1, factors.ndim)))
 
 
 def _clean_herm(arrays: list) -> tuple[np.ndarray, list]:
@@ -346,51 +362,28 @@ def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> list:
     return ratio.reshape(len(v), 2, -1).min(axis=2, initial=np.inf).tolist()
 
 
-def _cone_factors(stacks, vecs):
-    """Strict interiority check of a whole batch: the Cholesky factors of
-    every block stack if each factors and every entry of `vecs` is positive,
-    else None."""
-    factors = []
-    for st in stacks:
-        if not np.isfinite(st).all():
-            return None
-        try:
-            factors.append(np.linalg.cholesky(st))
-        except np.linalg.LinAlgError:
-            return None
-    for vec in vecs:
-        # min and max pass NaN through, so this also rejects NaN and inf
-        if vec.size and not (float(vec.min()) > 0.0 and float(vec.max()) < math.inf):
-            return None
-    return factors
-
-
-def _factor_one(m: np.ndarray):
-    """Cholesky factor with escalating jitter; returns None on breakdown."""
-    k = m.shape[0]
-    jitter = 0.0
-    base = max(float(np.trace(m)) / max(k, 1), 1.0)
-    for attempt in range(4):
-        try:
-            return np.linalg.cholesky(m + jitter * np.eye(k))
-        except np.linalg.LinAlgError:
-            jitter = base * (1e-13 if attempt == 0 else jitter / base * 1e3)
-    return None
-
-
 def _factor_psd(m: np.ndarray):
-    """Cholesky factors of a stack, each retried with escalating jitter if it
-    fails.  Returns (factors, {row: error}); a row that broke down gets an
-    identity placeholder."""
-    try:
-        # + 0.0 clears negative zeros, as the zero jitter of `_factor_one` does
-        return np.linalg.cholesky(m + 0.0), {}
-    except np.linalg.LinAlgError:
-        pass
-    factors = [_factor_one(mi) for mi in m]
-    broken = {i: "Schur complement factorization failed" for i, f in enumerate(factors) if f is None}
-    eye = np.eye(m.shape[-1])
-    return np.stack([eye if f is None else f for f in factors]), broken
+    """Cholesky factors of a stack of (K, K) matrices; a matrix that does not
+    factor is retried with escalating jitter, base * 1e-13 and then 1e3 times
+    the last, where base is max(tr / K, 1).  Returns (factors, {row: error});
+    a row that broke down gets an identity placeholder."""
+    # + 0.0 clears negative zeros: each matrix factored is m + jitter * I, jitter 0 first
+    factors = _cholesky(m + 0.0)
+    bad = np.flatnonzero(~_factored(factors))
+    if not len(bad):
+        return factors, {}
+    k = m.shape[-1]
+    eye = np.eye(k)
+    base = np.array([max(float(np.trace(mi)) / k, 1.0) for mi in m[bad]])
+    jitter = base * 1e-13
+    for _ in range(3):
+        f = _cholesky(m[bad] + jitter[:, None, None] * eye)
+        ok = _factored(f)
+        factors[bad[ok]] = f[ok]
+        bad, base, jitter = bad[~ok], base[~ok], jitter[~ok]
+        jitter = base * (jitter / base * 1e3)
+    factors[bad] = eye
+    return factors, dict.fromkeys(bad.tolist(), "Schur complement factorization failed")
 
 
 class _Batch:
@@ -470,7 +463,8 @@ class _Batch:
         self.u = ones * np.maximum(10.0, ru)[:, None]
         self.z = ones * np.maximum(10.0, cu)[:, None]
         self.y = np.zeros((n, k_total))
-        self.chol = [np.linalg.cholesky(np.concatenate((x, s), axis=1)) for x, s in zip(self.X, self.S)]
+        # positive multiples of I: these always factor
+        self.chol = [_cholesky(np.concatenate((x, s), axis=1)) for x, s in zip(self.X, self.S)]
 
     def _normalize(self, p: int) -> None:
         """Scale row p in place.  Each expression runs on that problem's own
@@ -807,13 +801,21 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
 
     Rounding in the boundary-step eigensolves can push the new iterate just
     outside the cone on ill-conditioned instances, so a row whose new
-    iterate is not strictly interior halves its steps until it is.  All rows
-    are tried at once first; if any fails, each is retried on its own.
-    Returns the rows that found no interior iterate.
+    iterate is not strictly interior (its (X, S) stacks finite and
+    factoring, its (u, z) positive and finite) halves its steps, up to 30
+    tries; a row that passes keeps its step.  Returns the rows that found
+    no interior iterate.
     """
     halves = [x.shape[1] for x in bt.X]
-
-    def trial(sel, a_p, a_d):
+    todo = np.array(rows, dtype=np.intp)
+    a_p, a_d = ap[todo], ad[todo]
+    # A first try of every row reads the iterates whole, and if all pass, the
+    # new X and S are views of the stacks tested, with their memory layout:
+    # einsum's loop order depends on it.  Otherwise rows are written in place.
+    sel = slice(None) if len(todo) == len(ap) else todo
+    for _ in range(30):
+        if not len(todo):
+            break
         a_p4, a_d4 = a_p[:, None, None, None], a_d[:, None, None, None]
         stacks = [
             _sym(np.concatenate((x[sel] + a_p4 * dx[sel], s[sel] + a_d4 * ds[sel]), axis=1))
@@ -821,35 +823,25 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
         ]
         nu = bt.u[sel] + a_p[:, None] * du[sel]
         nz = bt.z[sel] + a_d[:, None] * dz[sel]
-        chol = _cone_factors(stacks, (nu, nz))
-        return None if chol is None else (stacks, nu, nz, chol)
-
-    if len(rows) == len(ap):
-        got = trial(slice(None), ap, ad)
-        if got is not None:
-            stacks, bt.u, bt.z, bt.chol = got
+        chol = [_cholesky(st) for st in stacks]
+        uz = np.concatenate((nu, nz), axis=1)
+        ok = ((uz > 0.0) & (uz < math.inf)).all(axis=1)
+        for st, c in zip(stacks, chol):
+            ok &= np.isfinite(st).all(axis=(1, 2, 3)) & _factored(c)
+        if isinstance(sel, slice) and ok.all():
             bt.X = [st[:, :h] for st, h in zip(stacks, halves)]
             bt.S = [st[:, h:] for st, h in zip(stacks, halves)]
-            bt.y = bt.y + ad[:, None] * dy
+            bt.u, bt.z, bt.chol = nu, nz, chol
+            bt.y = bt.y + a_d[:, None] * dy
             return []
-    stuck = []
-    for i in rows:
-        sel = slice(i, i + 1)
-        a_p, a_d = ap[sel], ad[sel]
-        for _ in range(30):
-            got = trial(sel, a_p, a_d)
-            if got is not None:
-                break
-            a_p, a_d = a_p * 0.5, a_d * 0.5
-        else:
-            stuck.append(i)
-            continue
-        stacks, nu, nz, chol = got
-        for g, (st, h) in enumerate(zip(stacks, halves)):
-            bt.X[g][i], bt.S[g][i], bt.chol[g][i] = st[0, :h], st[0, h:], chol[g][0]
-        bt.u[i], bt.z[i] = nu[0], nz[0]
-        bt.y[i] = bt.y[i] + a_d[0] * dy[i]
-    return stuck
+        done = todo[ok]
+        for g, (st, c, h) in enumerate(zip(stacks, chol, halves)):
+            bt.X[g][done], bt.S[g][done], bt.chol[g][done] = st[ok, :h], st[ok, h:], c[ok]
+        bt.u[done], bt.z[done] = nu[ok], nz[ok]
+        bt.y[done] = bt.y[done] + a_d[ok, None] * dy[done]
+        todo, a_p, a_d = todo[~ok], a_p[~ok] * 0.5, a_d[~ok] * 0.5
+        sel = todo
+    return todo.tolist()
 
 
 def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):

@@ -11,6 +11,9 @@ coupling rows that hold at the known optimizer with slack (inequalities) or
 exactly (equalities); added constraints keep the optimizer feasible while
 only shrinking the feasible set, so the optimal value is unchanged and known
 in closed form.
+
+`mixed_outcome_batch` is a fixed set of one structure whose problems end
+each way a solve can end, for the batch tests and `tools/compare_solves.py`.
 """
 
 import numpy as np
@@ -89,3 +92,27 @@ def oracle_instance(seed, max_dim=3):
         constraints=tuple(constraints),
     )
     return problem, value, w_star, x_star
+
+
+def _two_equality_rows(cost, rows):
+    """min tr(cost X) over one 2x2 block s.t. tr(m X) = r for each (m, r) in rows."""
+    return SdpProblem(
+        (2,), 0, {0: cost}, {}, tuple(SdpConstraint({0: m}, {}, "=", r) for m, r in rows)
+    )
+
+
+def mixed_outcome_batch():
+    eye = np.eye(2, dtype=complex)
+    e11 = np.diag([1.0, 0.0]).astype(complex)
+    e22 = np.diag([0.0, 1.0]).astype(complex)
+    off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    return [
+        _two_equality_rows(eye, [(e11, 1.0), (e22, 2.0)]),  # Optimal, value 3
+        _two_equality_rows(eye, [(eye, 1.0), (eye, 2.0)]),  # Farkas-certified Infeasible
+        # a pins X_11 and Re X_12 only, so X_22 grows along a ray of cost -1
+        _two_equality_rows(np.diag([1.0, -1.0]).astype(complex), [(e11, 1.0), (off, 0.0)]),
+        # the same row twice: the Schur matrix is singular and needs jitter
+        _two_equality_rows(eye, [(a, 1.0), (a, 1.0)]),
+        _two_equality_rows(eye, [(e11, 2.0), (off, 0.5)]),  # Optimal
+    ]

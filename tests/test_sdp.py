@@ -10,7 +10,7 @@ try:
 except ImportError:  # numpy < 2
     from numpy.core import einsumfunc
 
-from oracles import oracle_instance
+from oracles import mixed_outcome_batch, oracle_instance
 from swiptcran import sdp as sdp_module
 from swiptcran.beamform import GroupDivision, SystemParams, build_sdp
 from swiptcran.sdp import (
@@ -221,6 +221,23 @@ class TestTailConvergence:
         assert objectives[0] == pytest.approx(829.34238, rel=1e-7)
 
 
+def _watch_cholesky(monkeypatch) -> dict:
+    """Patch `sdp._cholesky` to count its calls and to record, per call in
+    which a matrix did not factor, the matrix shape (K, K)."""
+    cholesky = sdp_module._cholesky
+    seen = {"calls": 0, "failed": []}
+
+    def counted(a):
+        seen["calls"] += 1
+        factors = cholesky(a)
+        if not sdp_module._factored(factors).all():
+            seen["failed"].append(a.shape[-2:])
+        return factors
+
+    monkeypatch.setattr(sdp_module, "_cholesky", counted)
+    return seen
+
+
 class TestCallCounts:
     def test_each_cone_stack_is_factored_once_per_iteration(self, monkeypatch):
         # The solver is bound by NumPy call overhead: each iteration factors
@@ -229,22 +246,14 @@ class TestCallCounts:
         topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
         ch = draw_channels(topo, seed=5, slot=0)
         problem = build_sdp(topo, ch, GroupDivision.all_met(7), SystemParams())
-        counts = {"cholesky": 0, "cholesky_failed": 0, "einsum_path": 0}
-        cholesky, einsum_path = np.linalg.cholesky, einsumfunc.einsum_path
-
-        def counted_cholesky(a):
-            counts["cholesky"] += 1
-            try:
-                return cholesky(a)
-            except np.linalg.LinAlgError:
-                counts["cholesky_failed"] += 1
-                raise
+        counts = {"einsum_path": 0}
+        einsum_path = einsumfunc.einsum_path
 
         def counted_einsum_path(*args, **kwargs):
             counts["einsum_path"] += 1
             return einsum_path(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        cholesky = _watch_cholesky(monkeypatch)
         monkeypatch.setattr(np, "einsum_path", counted_einsum_path)
         # the planner that einsum(..., optimize=...) calls
         monkeypatch.setattr(einsumfunc, "einsum_path", counted_einsum_path)
@@ -253,14 +262,14 @@ class TestCallCounts:
         assert counts["einsum_path"] == 0
         # one more for the starting point; a failed factorization (a
         # backtrack or a jitter retry) allows one more
-        assert counts["cholesky"] <= 2 * sol.iterations + 1 + counts["cholesky_failed"]
+        assert 0 < cholesky["calls"] <= 2 * sol.iterations + 1 + len(cholesky["failed"])
 
     def test_kernels_bypass_the_linalg_wrappers(self, monkeypatch):
-        # every solve and eigvalsh of a solve calls the LAPACK gufunc itself
+        # every solve, eigvalsh and cholesky of a solve calls the LAPACK gufunc itself
         topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
         ch = draw_channels(topo, seed=5, slot=0)
         problem = build_sdp(topo, ch, GroupDivision.all_met(7), SystemParams())
-        counts = {"solve": 0, "eigvalsh": 0}
+        counts = {"solve": 0, "eigvalsh": 0, "cholesky": 0}
 
         def counted(name):
             real = getattr(np.linalg, name)
@@ -276,7 +285,7 @@ class TestCallCounts:
         sol = solve(problem)
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.iterations > 0
-        assert counts == {"solve": 0, "eigvalsh": 0}
+        assert counts == {"solve": 0, "eigvalsh": 0, "cholesky": 0}
 
     def test_schur_jitter_recovers_a_repeated_equality_row(self, monkeypatch):
         # the same row twice makes the Schur matrix singular, so its
@@ -284,19 +293,9 @@ class TestCallCounts:
         a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
         row = SdpConstraint({0: a}, {}, "=", 1.0)
         problem = SdpProblem((2,), 0, {0: np.eye(2, dtype=complex)}, {}, (row, row))
-        failed = []
-        cholesky = np.linalg.cholesky
-
-        def counted_cholesky(m):
-            try:
-                return cholesky(m)
-            except np.linalg.LinAlgError:
-                failed.append(m.shape)
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        cholesky = _watch_cholesky(monkeypatch)
         sol = solve(problem)
-        assert (2, 2) in failed  # a Schur factorization failed and was retried
+        assert (2, 2) in cholesky["failed"]  # a Schur factorization failed and was retried
         assert sol.status is SdpStatus.OPTIMAL
         assert sol.iterations == 9
         # min tr(X) s.t. tr(A X) = 1 is 1 / lambda_max(A)
@@ -339,6 +338,51 @@ class TestKernels:
         herm = herm + herm.conj().swapaxes(-1, -2)
         np.testing.assert_array_equal(sdp_module._eigvalsh(herm), np.linalg.eigvalsh(herm))
 
+    @pytest.mark.parametrize("n_problems", [1, 3, 16])
+    def test_cholesky_matches_linalg(self, n_problems):
+        rng = np.random.default_rng(200 + n_problems)
+        for shape in [(n_problems, 6, 6, 6), (n_problems, 13, 13)]:  # cone and Schur stacks
+            m = rng.standard_normal(shape)
+            spd = m @ m.swapaxes(-1, -2) + shape[-1] * np.eye(shape[-1])
+            np.testing.assert_array_equal(sdp_module._cholesky(spd), np.linalg.cholesky(spd))
+            # a matrix that does not factor gets a NaN factor, and only it
+            bad = np.zeros(shape[:-2], dtype=bool)
+            bad.flat[rng.integers(bad.size)] = True
+            spd[bad] = -spd[bad]
+            with np.errstate(invalid="ignore"):
+                got = sdp_module._cholesky(spd)
+            assert np.isnan(got[bad]).all()
+            np.testing.assert_array_equal(got[~bad], np.linalg.cholesky(spd[~bad]))
+            np.testing.assert_array_equal(sdp_module._factored(got), ~bad.any(axis=tuple(range(1, bad.ndim))))
+
+    def test_factor_psd_matches_the_jitter_loop(self):
+        # a stack that factors with no jitter, with 1, 2 and 3 escalations,
+        # and never: each row gets the factor, or the breakdown, of the loop
+        k = 3
+        m = np.stack([np.diag([4.0, 2.0, lo]) for lo in (1.0, 0.0, -5e-12, -5e-9, -5e-6)])
+        with np.errstate(invalid="ignore"):
+            factors, broken = sdp_module._factor_psd(m)
+        assert broken == {4: "Schur complement factorization failed"}
+        reference = [_factor_one(mi) for mi in m]
+        assert [tries for _, tries in reference] == [1, 2, 3, 4, 4]
+        for got, (expected, _) in zip(factors, reference):
+            np.testing.assert_array_equal(got, np.eye(k) if expected is None else expected)
+
+
+def _factor_one(m):
+    """One Schur matrix's Cholesky factor with escalating jitter, or None on
+    breakdown, and the factorizations tried: the reference that
+    `_factor_psd`'s stacked pass must match."""
+    k = m.shape[0]
+    jitter = 0.0
+    base = max(float(np.trace(m)) / max(k, 1), 1.0)
+    for attempt in range(4):
+        try:
+            return np.linalg.cholesky(m + jitter * np.eye(k)), attempt + 1
+        except np.linalg.LinAlgError:
+            jitter = base * (1e-13 if attempt == 0 else jitter / base * 1e3)
+    return None, 4
+
 
 def _assert_same_solution(got, alone):
     """Bit-for-bit equality of two solutions of one problem."""
@@ -357,28 +401,33 @@ def _assert_same_solution(got, alone):
         np.testing.assert_array_equal(w, w_alone)
 
 
-def _two_equality_rows(cost, rows):
-    """min tr(cost X) over one 2x2 block s.t. tr(m X) = r for each (m, r) in rows."""
-    return SdpProblem(
-        (2,), 0, {0: cost}, {}, tuple(SdpConstraint({0: m}, {}, "=", r) for m, r in rows)
-    )
-
-
-def _mixed_outcome_batch():
-    eye = np.eye(2, dtype=complex)
-    e11 = np.diag([1.0, 0.0]).astype(complex)
-    e22 = np.diag([0.0, 1.0]).astype(complex)
-    off = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    a = np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+def _longterm_batch():
+    """16 long-term slots at 3/3/7 under one frozen division: one full batch."""
+    topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+    division = GroupDivision(7, frozenset({0, 3, 5}))
     return [
-        _two_equality_rows(eye, [(e11, 1.0), (e22, 2.0)]),  # Optimal, value 3
-        _two_equality_rows(eye, [(eye, 1.0), (eye, 2.0)]),  # Farkas-certified Infeasible
-        # a pins X_11 and Re X_12 only, so X_22 grows along a ray of cost -1
-        _two_equality_rows(np.diag([1.0, -1.0]).astype(complex), [(e11, 1.0), (off, 0.0)]),
-        # the same row twice: the Schur matrix is singular and needs jitter
-        _two_equality_rows(eye, [(a, 1.0), (a, 1.0)]),
-        _two_equality_rows(eye, [(e11, 2.0), (off, 0.5)]),  # Optimal
+        build_sdp(
+            topo, mask_fet_channels(draw_channels(topo, seed=5, slot=slot), division), division,
+            SystemParams(),
+        )
+        for slot in range(16)
     ]
+
+
+def _watch_back_off(monkeypatch) -> list:
+    """Patch `_advance` to record each row that took less than its full dual
+    step, read from the multiplier y it leaves."""
+    advance = sdp_module._advance
+    backed_off = []
+
+    def watched(bt, rows, dy, dxs, dss, du, dz, ap, ad):
+        full = bt.y + ad[:, None] * dy
+        stuck = advance(bt, rows, dy, dxs, dss, du, dz, ap, ad)
+        backed_off.extend(i for i in rows if i not in stuck and not np.array_equal(bt.y[i], full[i]))
+        return stuck
+
+    monkeypatch.setattr(sdp_module, "_advance", watched)
+    return backed_off
 
 
 class TestSolveBatch:
@@ -391,24 +440,15 @@ class TestSolveBatch:
     )
     def test_mixed_outcomes_match_solving_alone(self, monkeypatch, max_iters, statuses):
         monkeypatch.setattr(sdp_module, "MAX_ITERS", max_iters)
-        problems = _mixed_outcome_batch()
+        problems = mixed_outcome_batch()
         alone = [solve(p) for p in problems]
-        failed = []
-        cholesky = np.linalg.cholesky
-
-        def counted_cholesky(m):
-            try:
-                return cholesky(m)
-            except np.linalg.LinAlgError:
-                failed.append(m.shape)
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        cholesky = _watch_cholesky(monkeypatch)
         batch = solve_batch(problems)
         assert [s.status.value for s in batch] == statuses
         assert batch[1].detail.startswith("Farkas")
         if max_iters == 100:
-            assert failed  # the jitter instance's Schur factorization was retried
+            # the jitter instance's Schur factorization was retried
+            assert (2, 2) in cholesky["failed"]
         for got, one in zip(batch, alone):
             _assert_same_solution(got, one)
 
@@ -416,17 +456,16 @@ class TestSolveBatch:
         # let every Schur matrix that needs jitter break down instead: the
         # repeated-row problem ends at its first Schur failure and the rest
         # of the batch carries on as if solved alone
-        factor_one = sdp_module._factor_one
+        factor_psd = sdp_module._factor_psd
 
         def no_jitter(m):
-            try:
-                np.linalg.cholesky(m)
-            except np.linalg.LinAlgError:
-                return None
-            return factor_one(m)
+            factors, broken = factor_psd(m)
+            for i in np.flatnonzero(~sdp_module._factored(sdp_module._cholesky(m + 0.0))).tolist():
+                broken[i] = "Schur complement factorization failed"
+            return factors, broken
 
-        monkeypatch.setattr(sdp_module, "_factor_one", no_jitter)
-        problems = _mixed_outcome_batch()
+        monkeypatch.setattr(sdp_module, "_factor_psd", no_jitter)
+        problems = mixed_outcome_batch()
         batch = solve_batch(problems)
         assert batch[3].status is SdpStatus.MAX_ITERATIONS
         assert batch[3].detail == "numerical breakdown: Schur complement factorization failed"
@@ -437,7 +476,7 @@ class TestSolveBatch:
         # a failed kernel returns NaN; `min(1.0, nan)` is 1.0, so a NaN step
         # must end its row before it is taken as a full step
         max_steps = sdp_module._max_steps
-        problems = _mixed_outcome_batch()
+        problems = mixed_outcome_batch()
 
         def nan_for_first(chol, d):
             steps = max_steps(chol, d)
@@ -452,6 +491,62 @@ class TestSolveBatch:
         assert batch[0].iterations == 0
         for got, problem in zip(batch[1:], problems[1:]):
             _assert_same_solution(got, solve(problem))
+
+    @pytest.mark.parametrize("batch", [_longterm_batch, mixed_outcome_batch])
+    def test_backed_off_steps_match_solving_alone(self, monkeypatch, batch):
+        # a step of 1.2 times the distance to the cone boundary leaves the
+        # cone, so the interiority test fails and the step is halved
+        monkeypatch.setattr(sdp_module, "STEP_FRAC", 1.2)
+        problems = batch()
+        alone = [solve(p) for p in problems]
+        backed_off = _watch_back_off(monkeypatch)
+        for got, one in zip(solve_batch(problems), alone):
+            _assert_same_solution(got, one)
+        assert backed_off
+
+    def test_a_row_that_cannot_stay_interior_ends_only_its_problem(self, monkeypatch):
+        # problem 0's new cone stacks never factor, so all 30 tries of its
+        # step fail; while it is in the batch it is row 0 of every stack
+        # that `_advance` factors
+        problems = mixed_outcome_batch()
+        alone = [solve(p) for p in problems[1:]]
+        cholesky, advance = sdp_module._cholesky, sdp_module._advance
+        target = {"in_advance": False}
+
+        def failing(a):
+            factors = cholesky(a)
+            if target["in_advance"]:
+                factors[0] = np.nan
+            return factors
+
+        def advance_with_failing_row_0(bt, rows, *args):
+            target["in_advance"] = bt.ids[0] == 0 and 0 in rows
+            try:
+                return advance(bt, rows, *args)
+            finally:
+                target["in_advance"] = False
+
+        monkeypatch.setattr(sdp_module, "_cholesky", failing)
+        monkeypatch.setattr(sdp_module, "_advance", advance_with_failing_row_0)
+        batch = solve_batch(problems)
+        assert batch[0].status is SdpStatus.MAX_ITERATIONS
+        assert batch[0].detail == "numerical breakdown: step could not maintain cone interiority"
+        assert batch[0].iterations == 0
+        for got, one in zip(batch[1:], alone):
+            _assert_same_solution(got, one)
+
+    def test_failed_factorizations_raise_no_warning(self, monkeypatch):
+        # a factorization that fails sets the FP invalid flag: the Schur
+        # jitter of the repeated-row problem and forced back-off steps
+        # must not turn it into a RuntimeWarning
+        problems = mixed_outcome_batch()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(problems[3]).status is SdpStatus.OPTIMAL
+            monkeypatch.setattr(sdp_module, "STEP_FRAC", 1.9)
+            backed_off = _watch_back_off(monkeypatch)
+            solve_batch(problems)
+        assert backed_off
 
     def test_oracle_variants_match_solving_alone(self):
         # the oracle family has groups of one block, where the batched
@@ -497,31 +592,12 @@ class TestSolveBatch:
         # 16 long-term slots at 3/3/7 run as one batch: each iteration
         # factors all cone stacks in one call and all Schur matrices in
         # another, so a solver that looped over problems would fail this
-        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
-        division = GroupDivision(7, frozenset({0, 3, 5}))
-        problems = [
-            build_sdp(
-                topo, mask_fet_channels(draw_channels(topo, seed=5, slot=slot), division), division,
-                SystemParams(),
-            )
-            for slot in range(16)
-        ]
-        counts = {"cholesky": 0, "cholesky_failed": 0}
-        cholesky = np.linalg.cholesky
-
-        def counted_cholesky(a):
-            counts["cholesky"] += 1
-            try:
-                return cholesky(a)
-            except np.linalg.LinAlgError:
-                counts["cholesky_failed"] += 1
-                raise
-
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        problems = _longterm_batch()
+        cholesky = _watch_cholesky(monkeypatch)
         solutions = solve_batch(problems)
         assert all(s.status is SdpStatus.OPTIMAL for s in solutions)
         iters = max(s.iterations for s in solutions)
-        assert counts["cholesky"] <= 2 * iters + 1 + counts["cholesky_failed"]
+        assert 0 < cholesky["calls"] <= 2 * iters + 1 + len(cholesky["failed"])
 
 
 class TestScalingCovariance:
