@@ -53,7 +53,15 @@ retry act on those rows only, in one stacked call per try.  A failed
 kernel sets the FP invalid flag, so each call that can fail runs inside the
 IPM's errstate.  In the same spirit `SdpProblem.validate` checks and cleans
 all of a problem's coefficient matrices as one stack per block dimension,
-and `_Batch` embeds all of a batch's matrices in one call per group.
+and `_Batch` embeds a batch's matrices in few calls per group.
+
+No temporary is larger than 16 rows of A.  The coefficient stack A, of
+shape (n, K, B, 2N, 2N) per group, is the largest array a batch holds, and
+the only one of its size: the embedding at assembly, the Schur assembly,
+the Farkas check's gather of live rows and the compaction of A when rows
+leave (in place, into A's own buffer) each work `_ROWS` = 16 rows at a
+time, and a problem and its cleaned matrices are released once assembled.
+So a batch's memory grows with its per-row state, not with copies of A.
 
 Statuses (homogeneous self-dual embedding is NOT used): every status other
 than Optimal is either certified or MaxIterations.  Infeasible comes only
@@ -311,6 +319,21 @@ def _layout(problem: SdpProblem) -> tuple[list, dict]:
     return groups, where
 
 
+# Rows of A per temporary: no array the size of a batch's A stack is made
+# besides the stack itself; see the module docstring.
+_ROWS = 16
+
+
+def _row_blocks(n: int) -> list:
+    """Slices that cover rows 0..n-1, `_ROWS` at a time."""
+    return [slice(lo, lo + _ROWS) for lo in range(0, n, _ROWS)]
+
+
+def _take_rows(a: np.ndarray, idx: list) -> np.ndarray:
+    """`a[idx]` for ascending row indices, as a view when they are consecutive."""
+    return a[idx[0]:idx[-1] + 1] if idx[-1] - idx[0] == len(idx) - 1 else a[idx]
+
+
 def _sym(a):
     return (a + a.swapaxes(-1, -2)) / 2.0
 
@@ -432,8 +455,13 @@ class _Batch:
                     self.G[p, k, slack_col] = -1.0 if con.sense == ">=" else 1.0
                     slack_col += 1
         for dest, at in zip(self.C + self.A, c_at + a_at):
-            if at:
-                *where_at, mats = zip(*at)
+            if not at:
+                continue
+            # at most `_ROWS` rows' worth of matrices per call: the stack and
+            # its embedding are temporaries of that size
+            step = _ROWS * math.prod(dest.shape[1:-2])
+            for lo in range(0, len(at), step):
+                *where_at, mats = zip(*at[lo:lo + step])
                 dest[tuple(where_at)] = _embed(np.stack(mats)) / 2.0
         for p in range(n):
             self._normalize(p)
@@ -488,19 +516,41 @@ class _Batch:
         self.c_u[p] /= obj_scale
 
     def keep(self, rows: np.ndarray) -> None:
-        """Drop every row not selected by the boolean mask `rows`."""
-        for name in ("A", "C", "X", "S", "chol"):
+        """Drop every row not selected by the boolean mask `rows`.
+
+        Each A stack is compacted in place, `_ROWS` rows at a time, and
+        becomes the C-contiguous view of its live rows: a live row only
+        moves forward, past rows already read, and the rows before the
+        first dropped one stay where they are.
+        """
+        live = np.flatnonzero(rows)
+        for a in self.A:
+            for lo in range(int(np.argmin(rows)), len(live), _ROWS):
+                src = live[lo:lo + _ROWS]
+                a[lo:lo + len(src)] = a[src]
+        self.A = [a[:len(live)] for a in self.A]
+        for name in ("C", "X", "S", "chol"):
             setattr(self, name, [a[rows] for a in getattr(self, name)])
         for name in ("G", "c_u", "r", "r_norm", "u", "z", "y", "ids"):
             setattr(self, name, getattr(self, name)[rows])
 
 
-# Problems per batched IPM run.  On the 150 stage solves of one `longterm`
-# trial (3 RRHs, 3 ITs, 7 ETs; 2 shared CPUs, numpy 2.4, one BLAS thread),
-# batches of 1, 8, 16, 25 and 50 took about 20-23, 10, 7-8, 7.5-8 and 7 ms
-# per solve and raised peak RSS by about 0.7, 1.1, 1.7, 2.3 and 4.0 MB:
-# 16 is the knee, and 50 would spend most of a 10% memory budget.
-BATCH_SIZE = 16
+# Problems per batched IPM run.  `tools/batch_curve.py --repeat 15` on the
+# 150 stage solves of one `longterm` trial (3 RRHs, 3 ITs, 7 ETs; 2 shared
+# CPUs, numpy 2.4, one BLAS thread):
+#   size  batches  ms/solve  peak RSS rise (MB)
+#      1      150      9.76                0.75
+#     16       10      3.21                0.88
+#     32        5      2.81                1.90
+#     50        3      2.61                2.69
+#     64        3      2.74                3.70
+#     75        2      2.72                4.16
+#    150        1      2.50                8.22
+# Past 32 the time falls slowly (about 9% from 64 to 150) while memory
+# grows fast.  64 keeps the `longterm` benchmark's peak RSS within 8% of a
+# batch of 16 (+6.0%); 75 did too (+7.4%), at 0.5 MB more, and gains only
+# where it splits a stage of 150 problems in two.
+BATCH_SIZE = 64
 
 
 def solve(problem: SdpProblem) -> SdpSolution:
@@ -569,7 +619,11 @@ def solve_batch(problems) -> list[SdpSolution]:
         shape = shape or _structure(chunk[0])
         if any(_structure(p) != shape for p in chunk):
             raise ValueError("a batch needs one block_dims, n_scalars and constraint senses")
-        out += _solve_chunk(chunk, cleaned)
+        bt = _Batch(chunk, cleaned)
+        # once assembled, a problem is only read for what `_package` reads
+        objectives = [(len(p.block_dims), p.n_scalars, p.obj_blocks, p.obj_scalars) for p in chunk]
+        del chunk, cleaned
+        out += _solve_chunk(bt, objectives)
     return out
 
 
@@ -597,9 +651,10 @@ def _residuals(bt: _Batch):
     return rp, rds, rd_u, stats
 
 
-def _solve_chunk(problems, cleaned):
-    bt = _Batch(problems, cleaned)
-    results = [None] * len(problems)
+def _solve_chunk(bt: _Batch, objectives: list) -> list:
+    """Run the IPM on every row of `bt`; `objectives[p]` holds problem p's
+    (block count, scalar count, objective blocks, objective scalars)."""
+    results = [None] * len(objectives)
 
     def finish(ends, n_iter, rp, rds, rd_u, stats):
         """Package the rows in `ends` ({row: (status, detail)}) and drop them
@@ -608,7 +663,7 @@ def _solve_chunk(problems, cleaned):
         for i, (status, detail) in ends.items():
             p = bt.ids[i]
             results[p] = _package(
-                problems[p], bt.groups, [x[i] for x in bt.X], bt.u[i], status, n_iter,
+                objectives[p], bt.groups, [x[i] for x in bt.X], bt.u[i], status, n_iter,
                 *stats[i][2:], detail,
             )
         if len(ends) == len(stats):
@@ -677,7 +732,10 @@ def _infeasibility_certificates(bt: _Batch, skip) -> dict:
     yn = bt.y[sel] / ry[sel, None]
     worst = [-math.inf] * len(rows)
     for A in bt.A:
-        zb = np.einsum("pk,pkbij->pbij", yn, A[sel])
+        parts = [
+            np.einsum("pk,pkbij->pbij", yn[blk], _take_rows(A, rows[blk])) for blk in _row_blocks(len(rows))
+        ]
+        zb = parts[0] if len(parts) == 1 else np.concatenate(parts)
         top = _eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
         worst = [max(w, t) for w, t in zip(worst, top)]
     if bt.n_u:
@@ -709,10 +767,18 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
         linv = _solve(chol_s, np.eye(x.shape[-1]))
         sinv = _sym(linv.swapaxes(-1, -2) @ linv)
         sinvs.append(sinv)
-        if k_total:
-            # einsum "bpq,kbqr,brs,lbsp->kl" in its planner's order; do not reorder
-            t = x[:, None] @ A @ sinv[:, None]
-            ms += (A.reshape(n, k_total, -1) @ t.transpose(0, 2, 4, 3, 1).reshape(n, -1, k_total)).swapaxes(1, 2)
+        if not k_total:
+            continue
+        # einsum "bpq,kbqr,brs,lbsp->kl" in its planner's order; do not
+        # reorder.  `_ROWS` problems at a time: t and its transposed copy
+        # are the size of their rows of A
+        for rows in _row_blocks(n):
+            a = A[rows]
+            m = len(a)
+            t = x[rows, None] @ a @ sinv[rows, None]
+            ms[rows] += (
+                a.reshape(m, k_total, -1) @ t.transpose(0, 2, 4, 3, 1).reshape(m, -1, k_total)
+            ).swapaxes(1, 2)
     d = bt.u / bt.z
     ms += (bt.G * d[:, None, :]) @ bt.G.swapaxes(1, 2)
     ms = (ms + ms.swapaxes(1, 2)) / 2.0
@@ -844,19 +910,20 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
     return todo.tolist()
 
 
-def _package(problem, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):
+def _package(objective, groups, xs, u, status, n_iter, rel_p, rel_d, gap, detail):
     """The solution of one problem from its rows `xs` (per group of the
-    layout `groups`) and `u`."""
+    layout `groups`) and `u`; `objective` is as in `_solve_chunk`."""
+    n_blocks, n_scalars, obj_blocks, obj_scalars = objective
     ws = [_unembed(x) for x in xs]
-    blocks = [None] * len(problem.block_dims)
+    blocks = [None] * n_blocks
     for (_, ids), w in zip(groups, ws):
         for pos, b in enumerate(ids):
             blocks[b] = w[pos]
-    scal = u[: problem.n_scalars].copy()
+    scal = u[:n_scalars].copy()
     obj = 0.0
-    for b, mat in problem.obj_blocks.items():
+    for b, mat in obj_blocks.items():
         obj += float(np.real(np.trace(np.asarray(mat, dtype=np.complex128) @ blocks[b])))
-    for j, v in problem.obj_scalars.items():
+    for j, v in obj_scalars.items():
         obj += float(v) * float(scal[j])
     if status == SdpStatus.OPTIMAL:
         # an Optimal iterate is finite, and min over finite floats is exact,

@@ -12,7 +12,7 @@ _spec.loader.exec_module(compare_solves)
 def test_checkout_matches_itself_with_forced_back_off():
     src = compare_solves.package_root(str(ROOT))
     old, new = (compare_solves.run_tree(src, 1.2) for _ in range(2))
-    assert len(old) == 86
+    assert len(old) == 198
     assert {r["status"] for r in old} >= {"Optimal", "Infeasible", "Unbounded"}
     assert compare_solves.compare(old, new) == {}
 

@@ -1,5 +1,6 @@
 """Tests for the dense block-PSD interior-point solver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -402,7 +403,7 @@ def _assert_same_solution(got, alone):
 
 
 def _longterm_batch():
-    """16 long-term slots at 3/3/7 under one frozen division: one full batch."""
+    """16 long-term slots at 3/3/7 under one frozen division, as one batch."""
     topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
     division = GroupDivision(7, frozenset({0, 3, 5}))
     return [
@@ -412,6 +413,32 @@ def _longterm_batch():
         )
         for slot in range(16)
     ]
+
+
+def _stage_batch(n):
+    """`n` long-term slot problems at 3/3/7, slot by slot under the three
+    stage divisions (a frozen hybrid, all-FET, all-MET): their rows end at
+    different iterations."""
+    topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+    divisions = [GroupDivision(7, frozenset({0, 3, 5})), GroupDivision.all_fet(7), GroupDivision.all_met(7)]
+    return [
+        build_sdp(topo, mask_fet_channels(draw_channels(topo, seed=5, slot=slot), division), division,
+                  SystemParams())
+        for slot in range(-(-n // len(divisions)))
+        for division in divisions
+    ][:n]
+
+
+def _mixed_batch(n):
+    """`n` problems: copies of `mixed_outcome_batch()` in turn, the k-th copy
+    with its right-hand sides scaled by 1 + k / 10, so each outcome recurs."""
+    base = mixed_outcome_batch()
+    out = []
+    for i in range(n):
+        p, scale = base[i % len(base)], 1.0 + 0.1 * (i // len(base))
+        constraints = tuple(SdpConstraint(c.blocks, c.scalars, c.sense, scale * c.rhs) for c in p.constraints)
+        out.append(SdpProblem(p.block_dims, p.n_scalars, p.obj_blocks, p.obj_scalars, constraints))
+    return out
 
 
 def _watch_back_off(monkeypatch) -> list:
@@ -547,6 +574,51 @@ class TestSolveBatch:
             backed_off = _watch_back_off(monkeypatch)
             solve_batch(problems)
         assert backed_off
+
+    @pytest.mark.parametrize("batch", [_stage_batch, _mixed_batch])
+    def test_rows_compact_in_place_across_batches(self, monkeypatch, batch):
+        # more problems than a batch holds, whose rows end at different
+        # iterations: each `keep` moves the live rows of A forward inside
+        # the buffer the batch was built with, and no result moves a bit
+        problems = batch(sdp_module.BATCH_SIZE + 3)
+        alone = [solve(p) for p in problems]
+        keep = sdp_module._Batch.keep
+        first = {}  # id -> (batch, its A stacks before any keep)
+        calls = []
+
+        def watched(bt, rows):
+            buffers = first.setdefault(id(bt), (bt, list(bt.A)))[1]
+            keep(bt, rows)
+            calls.append(id(bt))
+            for a, buffer in zip(bt.A, buffers):
+                assert a.flags.c_contiguous
+                assert np.shares_memory(a, buffer)
+                assert len(a) == int(np.count_nonzero(rows))
+
+        monkeypatch.setattr(sdp_module._Batch, "keep", watched)
+        batched = solve_batch(problems)
+        assert len(batched) == len(problems)
+        for got, one in zip(batched, alone):
+            _assert_same_solution(got, one)
+        assert len(calls) > len(first)  # some batch compacted more than once
+
+    def test_no_temporary_the_size_of_a(self):
+        # the peak of one full batch beyond its own A stack, in units of
+        # that stack: with every temporary capped at 16 rows of A, 64
+        # problems reach 2.8 units; at 16 problems without the caps it was
+        # 4.5, and the Schur assembly, the embedding at assembly or holding
+        # the problems each lift 64 problems above 3 on their own
+        problems = _stage_batch(sdp_module.BATCH_SIZE)
+        first = problems[0]
+        a_bytes = 8 * len(problems) * len(first.constraints) * sum((2 * d) ** 2 for d in first.block_dims)
+        solve_batch(problems[:1])
+        tracemalloc.start()
+        try:
+            solve_batch(problems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - a_bytes < 3.0 * a_bytes
 
     def test_oracle_variants_match_solving_alone(self):
         # the oracle family has groups of one block, where the batched

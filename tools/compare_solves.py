@@ -4,9 +4,12 @@
 
 OLD_SRC and NEW_SRC are checkouts (or their `src` directories).  Under each
 tree a subprocess solves one fixed set of problems: 3/3/7 divisions over
-several topology seeds at two assisted floors `p_amin`, a batch of 20
-long-term slots, oracle instances 0-7, and the mixed-outcome problems alone
-and as one batch (the last two from this checkout's `tests/oracles.py`).
+several topology seeds at two assisted floors `p_amin`, one batch of 132
+long-term slot problems under the three stage divisions (more than two
+batches of 64, so rows leave each batch at different iterations and the
+solve crosses batch boundaries), oracle instances 0-7, and the
+mixed-outcome problems alone and as one batch (the last two from this
+checkout's `tests/oracles.py`).
 The set runs at each step fraction of `STEP_FRAC_RUNS`: above 1, a step
 leaves the cone and the interiority back-off and the Schur jitter run.
 Each solution's status, detail, iteration count, objective, residuals and
@@ -24,6 +27,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 STEP_FRAC_RUNS = (0.98, 1.2, 1.9)
+# slots per stage division: 3 x 44 = 132 problems, at least 2 x 64 + 3
+LONGTERM_SLOTS = 44
 FIELDS = ("status", "detail", "iterations", "objective", "residuals", "scalars", "blocks")
 
 
@@ -53,11 +58,12 @@ def problem_set() -> list:
                 problem = build_sdp(topo, ch, GroupDivision(7, fet), params)
                 out.append((f"division seed {seed} p_amin {dbm} dBm fet {sorted(fet)}", [problem]))
     topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
-    division = GroupDivision(7, frozenset({0, 3, 5}))
-    out.append(("longterm slots 0-19", [
+    stage = [GroupDivision(7, frozenset({0, 3, 5})), GroupDivision.all_fet(7), GroupDivision.all_met(7)]
+    out.append((f"longterm slots 0-{LONGTERM_SLOTS - 1}", [
         build_sdp(topo, mask_fet_channels(draw_channels(topo, seed=5, slot=slot), division), division,
                   SystemParams())
-        for slot in range(20)
+        for division in stage
+        for slot in range(LONGTERM_SLOTS)
     ]))
     out += [(f"oracle {seed}", [oracle_instance(seed)[0]]) for seed in range(8)]
     mixed = mixed_outcome_batch()
