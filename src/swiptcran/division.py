@@ -74,13 +74,16 @@ class Instance:
     """One channel draw's division problem: topology, channels and params.
 
     `evaluate(division)` returns `solve_division`'s (PowerReport, SdpSolution).
-    It builds the division's SDP and looks its `sdp.solve_key` up in
-    `store`, a dict from key to SdpSolution; only a miss is solved, from
-    the problem already built.  The
-    key pins the solution but not the parameters the report reads, so each
-    call derives the report with the instance's own params.  Instances of
-    one draw may share a store: a sweep value that leaves a division's SDP
-    unchanged then reuses its solution.  Callers share the returned
+    The first call for a division builds its SDP and looks its
+    `sdp.solve_key` up in `store`, a dict from key to SdpSolution; only a
+    miss is solved, from the problem already built.  The key pins the
+    solution but not the parameters the report reads, so the report is
+    derived with the instance's own params.  Instances of one draw may
+    share a store: a sweep value that leaves a division's SDP unchanged
+    then reuses its solution.  Each answer is also kept in `memo`, keyed by
+    the division: one instance is one (topology, channels, params), so a
+    repeated call returns the same report and solution objects without a
+    build, a key or a new report.  Callers share the returned reports and
     solutions and must not modify them.
     """
 
@@ -89,18 +92,23 @@ class Instance:
         self.channels = channels
         self.params = params
         self.store: dict[bytes, SdpSolution] = {} if store is None else store
+        self.memo: dict[GroupDivision, tuple[PowerReport, SdpSolution]] = {}
 
     def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
+        if division in self.memo:
+            return self.memo[division]
         # both calls go through names the benchmark's tracer wraps: the
         # builder as `beamform.build_sdp`, a miss as this module's global
         problem = beamform.build_sdp(self.topology, self.channels, division, self.params)
         key = solve_key(problem)
         if key in self.store:
             solution = self.store[key]
-            return _division_report(self.topology, solution, self.params), solution
-        report, solution = solve_division(self.topology, self.channels, division, self.params, problem)
-        self.store[key] = solution
-        return report, solution
+            answer = _division_report(self.topology, solution, self.params), solution
+        else:
+            answer = solve_division(self.topology, self.channels, division, self.params, problem)
+            self.store[key] = answer[1]
+        self.memo[division] = answer
+        return answer
 
 
 def _assigned_distance(topology, et_index: int) -> tuple[int, float]:

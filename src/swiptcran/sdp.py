@@ -26,50 +26,44 @@ time, and `solve` is a batch of one; there is no other code path.  Each
 problem keeps its own tests (convergence, Farkas certificate, primal ray,
 iteration cap, Schur jitter retry, interiority back-off, the PSD check of
 the returned blocks) and leaves the batch when it ends.  Every batched call
-computes a problem's entries exactly as a batch of one does: LAPACK and BLAS
-work matrix by matrix, the einsum calls keep their inner loops, and the
-per-problem scalars are Python floats.  So each result is bit-identical to
-solving that problem alone.  The one exception found, einsum's
-contraction over a group of a single block, is made problem by problem.  The blocks of one embedded dimension form a
-group, and X and S of a group are stacked: the interiority test factors the
-stack (X, S) once, and that Cholesky factor gives S^-1 and all four
-step-length tests of the next iteration.  The Schur matrix is factored once
-per iteration and serves the predictor and the corrector.  No contraction is
-planned at run time: the Schur contraction is written as the matmuls einsum's
-planner picks for it, and the other einsum calls run unplanned.  These forms
-are fixed on purpose.  A contraction reordered, even into one equal in exact
-arithmetic, rounds differently and moves the iterates.
+computes a problem's entries as a batch of one does (LAPACK and BLAS work
+matrix by matrix, einsum keeps its inner loops, per-problem scalars are
+Python floats; einsum over a group of one block runs problem by problem),
+so each result is bit-identical to solving that problem alone.  A group
+holds the blocks of one embedded dimension, with X and S stacked: the
+interiority test factors the stack (X, S) once, and that factor gives S^-1
+and the four step-length tests of the next iteration.  The Schur matrix is
+factored once per iteration, for the predictor and the corrector, and its
+contraction is written as the matmuls einsum's planner picks for it.  These
+forms are fixed on purpose: a contraction reordered, even into one equal in
+exact arithmetic, rounds differently and moves the iterates.
 
-Every `solve`, `eigvalsh` and `cholesky` of the solver calls numpy's LAPACK
-gufunc (`numpy.linalg._umath_linalg`) directly, through `_solve`,
-`_eigvalsh` and `_cholesky`.  On these small stacks the `np.linalg` wrapper
-(type and shape checks and an errstate per call) costs as much as the
-kernel; the kernel and its inputs are the same, so the bits are too.
-Outside the wrapper a failed kernel returns NaN for the matrix that failed
-instead of raising for the stack.  A row whose step length comes out NaN
-ends as a numerical breakdown, and a Cholesky factor with a NaN marks a
-matrix that did not factor: the interiority back-off and the Schur jitter
-retry act on those rows only, in one stacked call per try.  A failed
-kernel sets the FP invalid flag, so each call that can fail runs inside the
-IPM's errstate.  In the same spirit `SdpProblem.validate` checks and cleans
-all of a problem's coefficient matrices as one stack per block dimension,
-and `_Batch` embeds a batch's matrices in few calls per group.
+The kernels are called without their Python wrappers, which cost as much as
+the kernel on these small stacks; kernel and inputs are the same, so the
+bits are too.  `_solve`, `_eigvalsh` and `_cholesky` call numpy's LAPACK
+gufuncs (`numpy.linalg._umath_linalg`), every einsum is numpy's C
+`c_einsum` (what `np.einsum` runs when it plans nothing), and the
+iteration's reductions call the ufunc `reduce` (`np.minimum.reduce`, ...)
+that `ndarray.min/max/sum/all/any` reach through Python.  A failed LAPACK
+kernel returns NaN for its matrix instead of raising for the stack: a NaN
+step length ends its row as a numerical breakdown, and the interiority
+back-off and the Schur jitter retry act on the rows whose Cholesky factor
+has a NaN, in one stacked call per try.  The failure sets the FP invalid
+flag, so one errstate covers a batch's whole IPM.
 
-No temporary is larger than 16 rows of A.  The coefficient stack A, of
-shape (n, K, B, 2N, 2N) per group, is the largest array a batch holds, and
-the only one of its size: the embedding at assembly, the Schur assembly,
-the Farkas check's gather of live rows and the compaction of A when rows
-leave (in place, into A's own buffer) each work `_ROWS` = 16 rows at a
-time, and a problem and its cleaned matrices are released once assembled.
-So a batch's memory grows with its per-row state, not with copies of A.
+No temporary is larger than 16 rows of A, the coefficient stack of shape
+(n, K, B, 2N, 2N) per group and the largest array a batch holds: the
+embedding at assembly, the Schur assembly, the Farkas check's gather of
+live rows and the in-place compaction of A when rows leave each work
+`_ROWS` = 16 rows at a time, and a problem is released once assembled.  So
+a batch's memory grows with its per-row state, not with copies of A.
 
-Statuses (homogeneous self-dual embedding is NOT used): every status other
-than Optimal is either certified or MaxIterations.  Infeasible comes only
-from a Farkas ray certificate extracted from the normalized dual iterate,
-Unbounded only from the mirrored primal-ray test, both checked every
-iteration.  A solve that neither converges nor certifies runs to `MAX_ITERS`
-(or stops on a numerical breakdown) and ends MaxIterations.  The `detail`
-field of the solution records which indicator fired.
+Statuses (no homogeneous self-dual embedding): every status other than
+Optimal is certified or MaxIterations.  Infeasible comes only from a Farkas
+ray certificate on the normalized dual iterate, Unbounded only from the
+mirrored primal-ray test, both checked every iteration.  A solve that does
+neither runs to `MAX_ITERS` (or stops on a numerical breakdown) and ends
+MaxIterations; the solution's `detail` records which indicator fired.
 """
 
 from __future__ import annotations
@@ -85,6 +79,11 @@ from enum import Enum
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+
+try:
+    from numpy._core._multiarray_umath import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import c_einsum
 
 _SENSES = (">=", "<=", "=")
 _HERM_TOL = 1e-10
@@ -124,10 +123,18 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return _umath_linalg.cholesky_lo(a, signature="d->d")
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """`np.eye(n)`, made once and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _factored(factors: np.ndarray) -> np.ndarray:
     """Per entry of a `_cholesky` stack's leading axis, whether its matrices
     factored: a NaN anywhere set the invalid flag that `np.linalg.cholesky` raises on."""
-    return ~np.isnan(factors).any(axis=tuple(range(1, factors.ndim)))
+    return ~np.logical_or.reduce(np.isnan(factors), axis=tuple(range(1, factors.ndim)))
 
 
 def _clean_herm(arrays: list) -> tuple[np.ndarray, list]:
@@ -338,11 +345,10 @@ def _sym(a):
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _sum(terms):
+def _sum(terms: list):
     """`sum(terms)` without its leading `0 +`, which changes only a -0.0
     total; the terms summed here (einsum reductions, sums of squares, traces
-    of interior iterates) are never -0.0."""
-    terms = list(terms)
+    of interior iterates) are never -0.0.  A single term comes back as it is."""
     return functools.reduce(operator.add, terms) if terms else 0.0
 
 
@@ -362,8 +368,8 @@ def _adjoint_dot(a, m):
         # with one block in the group, einsum's summation order over a
         # problem axis depends on the batch size; contract each problem on
         # its own so that it gets the bits it gets when solved alone
-        return np.stack([np.einsum("kbij,bji->k", ai, mi) for ai, mi in zip(a, m)])
-    return np.einsum("pkbij,pbji->pk", a, m)
+        return np.stack([c_einsum("kbij,bji->k", ai, mi) for ai, mi in zip(a, m)])
+    return c_einsum("pkbij,pbji->pk", a, m)
 
 
 def _max_steps(chol: np.ndarray, d: np.ndarray) -> list:
@@ -372,17 +378,16 @@ def _max_steps(chol: np.ndarray, d: np.ndarray) -> list:
     `chol` holds the Cholesky factors of one group's stacks (X, S) and `d`
     the matching stacks (dX, dS); the two halves share one chain of calls.
     """
-    y = _solve(chol, d)
-    y = _solve(chol, y.swapaxes(-1, -2))
+    y = _solve(chol, _solve(chol, d).swapaxes(-1, -2))
     lam = _eigvalsh(_sym(y))
-    worst = lam.reshape(len(lam), 2, -1).min(axis=2).tolist()
+    worst = np.minimum.reduce(lam.reshape(len(lam), 2, -1), axis=2).tolist()
     return [[math.inf if w >= -1e-14 else 1.0 / (-w) for w in pair] for pair in worst]
 
 
 def _max_step_vec(v: np.ndarray, dv: np.ndarray) -> list:
     """Per row of v = (u, z), the largest a with v + a dv >= 0 on each half; inf if unbounded."""
     ratio = np.where(dv < 0, v / -dv, np.inf)
-    return ratio.reshape(len(v), 2, -1).min(axis=2, initial=np.inf).tolist()
+    return np.minimum.reduce(ratio.reshape(len(v), 2, -1), axis=2, initial=np.inf).tolist()
 
 
 def _factor_psd(m: np.ndarray):
@@ -392,20 +397,19 @@ def _factor_psd(m: np.ndarray):
     a row that broke down gets an identity placeholder."""
     # + 0.0 clears negative zeros: each matrix factored is m + jitter * I, jitter 0 first
     factors = _cholesky(m + 0.0)
-    bad = np.flatnonzero(~_factored(factors))
+    bad = (~_factored(factors)).nonzero()[0]
     if not len(bad):
         return factors, {}
     k = m.shape[-1]
-    eye = np.eye(k)
     base = np.array([max(float(np.trace(mi)) / k, 1.0) for mi in m[bad]])
     jitter = base * 1e-13
     for _ in range(3):
-        f = _cholesky(m[bad] + jitter[:, None, None] * eye)
+        f = _cholesky(m[bad] + jitter[:, None, None] * _eye(k))
         ok = _factored(f)
         factors[bad[ok]] = f[ok]
         bad, base, jitter = bad[~ok], base[~ok], jitter[~ok]
         jitter = base * (jitter / base * 1e3)
-    factors[bad] = eye
+    factors[bad] = _eye(k)
     return factors, dict.fromkeys(bad.tolist(), "Schur complement factorization failed")
 
 
@@ -433,63 +437,56 @@ class _Batch:
         self.G = np.zeros((n, k_total, self.n_u))
         self.c_u = np.zeros((n, self.n_u))
         self.r = np.zeros((n, k_total))
-        # per group, (problem, position, matrix) of each objective block and
-        # (problem, constraint, position, matrix) of each constraint block
-        c_at = [[] for _ in self.groups]
-        a_at = [[] for _ in self.groups]
+        # per group, index columns (problem, [constraint,] position) and matrices of its
+        # blocks; a tuple per matrix would outlive assembly on CPython's tuple free list
+        c_at = [([], [], []) for _ in self.groups]
+        a_at = [([], [], [], []) for _ in self.groups]
         for p, (problem, (obj_blocks, con_blocks)) in enumerate(zip(problems, cleaned)):
             for b, mat in obj_blocks.items():
                 g, pos = where[b]
-                c_at[g].append((p, pos, mat))
+                for col, v in zip(c_at[g], (p, pos, mat)):
+                    col.append(v)
             for j, v in problem.obj_scalars.items():
                 self.c_u[p, j] = float(v)
             slack_col = problem.n_scalars
             for k, con in enumerate(problem.constraints):
                 for b, mat in con_blocks[k].items():
                     g, pos = where[b]
-                    a_at[g].append((p, k, pos, mat))
+                    for col, v in zip(a_at[g], (p, k, pos, mat)):
+                        col.append(v)
                 for j, v in con.scalars.items():
                     self.G[p, k, j] = float(v)
                 self.r[p, k] = float(con.rhs)
                 if con.sense != "=":
                     self.G[p, k, slack_col] = -1.0 if con.sense == ">=" else 1.0
                     slack_col += 1
-        for dest, at in zip(self.C + self.A, c_at + a_at):
-            if not at:
+        for dest, (*idx, mats) in zip(self.C + self.A, c_at + a_at):
+            if not mats:
                 continue
             # at most `_ROWS` rows' worth of matrices per call: the stack and
             # its embedding are temporaries of that size
             step = _ROWS * math.prod(dest.shape[1:-2])
-            for lo in range(0, len(at), step):
-                *where_at, mats = zip(*at[lo:lo + step])
-                dest[tuple(where_at)] = _embed(np.stack(mats)) / 2.0
+            for lo in range(0, len(mats), step):
+                dest[tuple(i[lo:lo + step] for i in idx)] = _embed(np.stack(mats[lo:lo + step])) / 2.0
         for p in range(n):
             self._normalize(p)
         self.r_norm = np.array([np.linalg.norm(r) for r in self.r])
         self.ids = np.arange(n)
 
         self.X, self.S = [], []
-        for (dim, ids), a, c in zip(self.groups, self.A, self.C):
-            an = np.sqrt(np.einsum("pkbij,pkbij->pkb", a, a))  # (P, K, B)
-            cn = np.sqrt(np.einsum("pbij,pbij->pb", c, c))
-            if k_total:
-                xi = np.maximum(
-                    10.0,
-                    dim * ((1.0 + np.abs(self.r))[:, :, None] / (1.0 + an)).max(axis=1),
-                )
-                eta = np.maximum(10.0, np.maximum(cn, an.max(axis=1)))
-            else:
-                xi = np.full((n, len(ids)), 10.0)
-                eta = np.maximum(10.0, cn)
-            xi = np.maximum(xi, math.sqrt(dim))
-            eye = np.eye(dim)
+        for (dim, _), a, c in zip(self.groups, self.A, self.C):
+            an = np.sqrt(c_einsum("pkbij,pkbij->pkb", a, a))  # (P, K, B)
+            cn = np.sqrt(c_einsum("pbij,pbij->pb", c, c))
+            # with no constraint, the maxima over rows are their initial values
+            ratio = (1.0 + np.abs(self.r))[:, :, None] / (1.0 + an)
+            xi = np.maximum(dim * np.maximum.reduce(ratio, axis=1, initial=0.0), max(10.0, math.sqrt(dim)))
+            eta = np.maximum(np.maximum.reduce(an, axis=1, initial=10.0), cn)
+            eye = _eye(dim)
             self.X.append(xi[:, :, None, None] * eye)
             self.S.append(eta[:, :, None, None] * eye)
-        ru = np.abs(self.r).max(axis=1) if k_total else np.zeros(n)
-        cu = np.abs(self.c_u).max(axis=1) if self.n_u else np.zeros(n)
         ones = np.ones((n, self.n_u))
-        self.u = ones * np.maximum(10.0, ru)[:, None]
-        self.z = ones * np.maximum(10.0, cu)[:, None]
+        self.u = ones * np.maximum.reduce(np.abs(self.r), axis=1, initial=10.0)[:, None]
+        self.z = ones * np.maximum.reduce(np.abs(self.c_u), axis=1, initial=10.0)[:, None]
         self.y = np.zeros((n, k_total))
         # positive multiples of I: these always factor
         self.chol = [_cholesky(np.concatenate((x, s), axis=1)) for x, s in zip(self.X, self.S)]
@@ -499,8 +496,8 @@ class _Batch:
         contiguous views, so it rounds as it does for a batch of one."""
         a, c = [A[p] for A in self.A], [C[p] for C in self.C]
         # row scaling: unit-norm constraint rows; primal solution is invariant
-        sq = _sum(np.einsum("kbij,kbij->k", ag, ag) for ag in a)
-        norms = np.sqrt(sq + np.einsum("kj,kj->k", self.G[p], self.G[p]))
+        sq = _sum([c_einsum("kbij,kbij->k", ag, ag) for ag in a])
+        norms = np.sqrt(sq + c_einsum("kj,kj->k", self.G[p], self.G[p]))
         row_scale = 1.0 / np.maximum(norms, 1e-12)
         row_scale[norms == 0.0] = 1.0
         for ag in a:
@@ -546,10 +543,8 @@ class _Batch:
 #     64        3      2.74                3.70
 #     75        2      2.72                4.16
 #    150        1      2.50                8.22
-# Past 32 the time falls slowly (about 9% from 64 to 150) while memory
-# grows fast.  64 keeps the `longterm` benchmark's peak RSS within 8% of a
-# batch of 16 (+6.0%); 75 did too (+7.4%), at 0.5 MB more, and gains only
-# where it splits a stage of 150 problems in two.
+# Past 32 time falls slowly (9% from 64 to 150) and memory grows fast.  64
+# keeps `longterm` peak RSS within 8% of a batch of 16 (+6.0%; 75: +7.4%).
 BATCH_SIZE = 64
 
 
@@ -623,22 +618,23 @@ def solve_batch(problems) -> list[SdpSolution]:
         # once assembled, a problem is only read for what `_package` reads
         objectives = [(len(p.block_dims), p.n_scalars, p.obj_blocks, p.obj_scalars) for p in chunk]
         del chunk, cleaned
-        out += _solve_chunk(bt, objectives)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out += _solve_chunk(bt, objectives)
     return out
 
 
 def _residuals(bt: _Batch):
     """Residuals of every row, and per row (pobj, mu, rel_p, rel_d, gap) as Python floats."""
-    a = _sum(np.einsum("pkbij,pbij->pk", A, x) for A, x in zip(bt.A, bt.X))
+    a = _sum([c_einsum("pkbij,pbij->pk", A, x) for A, x in zip(bt.A, bt.X)])
     rp = bt.r - a - _mv(bt.G, bt.u)
-    rds = [C - np.einsum("pk,pkbij->pbij", bt.y, A) - s for A, C, s in zip(bt.A, bt.C, bt.S)]
+    rds = [C - c_einsum("pk,pkbij->pbij", bt.y, A) - s for A, C, s in zip(bt.A, bt.C, bt.S)]
     rd_u = bt.c_u - _mv(bt.G.swapaxes(1, 2), bt.y) - bt.z
     sums = (
-        _sum(np.einsum("pbij,pbij->p", C, x) for C, x in zip(bt.C, bt.X)) + _dot(bt.c_u, bt.u),
+        _sum([c_einsum("pbij,pbij->p", C, x) for C, x in zip(bt.C, bt.X)]) + _dot(bt.c_u, bt.u),
         _dot(bt.r, bt.y),
-        _sum(np.einsum("pbij,pbij->p", x, s) for x, s in zip(bt.X, bt.S)) + _dot(bt.u, bt.z),
+        _sum([c_einsum("pbij,pbij->p", x, s) for x, s in zip(bt.X, bt.S)]) + _dot(bt.u, bt.z),
         _dot(rp, rp),
-        _sum((rd * rd).reshape(len(rd), -1).sum(axis=1) for rd in rds) + _dot(rd_u, rd_u),
+        _sum([np.add.reduce((rd * rd).reshape(len(rd), -1), axis=1) for rd in rds]) + _dot(rd_u, rd_u),
         bt.r_norm,
     )
     stats = [
@@ -685,7 +681,8 @@ def _solve_chunk(bt: _Batch, objectives: list) -> list:
         # d = (X, u)/|iterate| has A(d) ~ 0 and strictly negative cost.  The
         # raw primal residual is unusable here (catastrophic cancellation once
         # the iterate diverges), so everything is scaled by the cone norm.
-        cone = _sum(x.sum(axis=1).trace(axis1=1, axis2=2) for x in bt.X) + bt.u.sum(axis=1)
+        cone = _sum([np.add.reduce(x, axis=1).trace(axis1=1, axis2=2) for x in bt.X])
+        cone = cone + np.add.reduce(bt.u, axis=1)
         for i, (cone_norm, r_norm) in enumerate(zip(cone.tolist(), bt.r_norm.tolist())):
             pobj = stats[i][0]
             if (
@@ -708,8 +705,7 @@ def _solve_chunk(bt: _Batch, objectives: list) -> list:
                 break
             rp, rds, rd_u, stats = left
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            broken = _ipm_step(bt, rp, rds, rd_u, [st[1] for st in stats])
+        broken = _ipm_step(bt, rp, rds, rd_u, [st[1] for st in stats])
         if broken:
             ends = {i: (SdpStatus.MAX_ITERATIONS, f"numerical breakdown: {msg}") for i, msg in broken.items()}
             if finish(ends, n_iter, rp, rds, rd_u, stats) is None:
@@ -733,22 +729,23 @@ def _infeasibility_certificates(bt: _Batch, skip) -> dict:
     worst = [-math.inf] * len(rows)
     for A in bt.A:
         parts = [
-            np.einsum("pk,pkbij->pbij", yn[blk], _take_rows(A, rows[blk])) for blk in _row_blocks(len(rows))
+            c_einsum("pk,pkbij->pbij", yn[blk], _take_rows(A, rows[blk])) for blk in _row_blocks(len(rows))
         ]
         zb = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        top = _eigvalsh(_sym(zb)).reshape(len(rows), -1).max(axis=1).tolist()
+        top = np.maximum.reduce(_eigvalsh(_sym(zb)).reshape(len(rows), -1), axis=1).tolist()
         worst = [max(w, t) for w, t in zip(worst, top)]
     if bt.n_u:
-        gvs = _mv(bt.G[sel].swapaxes(1, 2), yn).max(axis=1).tolist()
+        gvs = np.maximum.reduce(_mv(bt.G[sel].swapaxes(1, 2), yn), axis=1).tolist()
     else:
         gvs = [-math.inf] * len(rows)
+    tols = (1e-9 * np.add.reduce(np.abs(yn), axis=1)).tolist()
     return {
         i: (
             "Farkas dual ray certificate: with y normalized to r.y = 1, "
             f"max eig of adjoint {w:.2e} and max scalar column {gv:.2e} "
             f"are within {tol:.1e} of the nonpositive cone"
         )
-        for i, w, gv, tol in zip(rows, worst, gvs, (1e-9 * t for t in np.abs(yn).sum(axis=1).tolist()))
+        for i, w, gv, tol in zip(rows, worst, gvs, tols)
         if max(w, gv) <= tol
     }
 
@@ -764,7 +761,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     sinvs, ms = [], np.zeros((n, k_total, k_total))
     for A, x, chol in zip(bt.A, bt.X, bt.chol):
         chol_s = chol[:, x.shape[1]:]
-        linv = _solve(chol_s, np.eye(x.shape[-1]))
+        linv = _solve(chol_s, _eye(x.shape[-1]))
         sinv = _sym(linv.swapaxes(-1, -2) @ linv)
         sinvs.append(sinv)
         if not k_total:
@@ -779,6 +776,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
             ms[rows] += (
                 a.reshape(m, k_total, -1) @ t.transpose(0, 2, 4, 3, 1).reshape(m, -1, k_total)
             ).swapaxes(1, 2)
+        del a, t
     d = bt.u / bt.z
     ms += (bt.G * d[:, None, :]) @ bt.G.swapaxes(1, 2)
     ms = (ms + ms.swapaxes(1, 2)) / 2.0
@@ -806,7 +804,7 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
         dy = _solve(ms_chol_t, _solve(ms_chol, h[:, :, None]))[:, :, 0]
         dss, dxs = [], []
         for A, x, sinv, corr, rd in zip(bt.A, bt.X, sinvs, corrs, rds):
-            ds = rd - np.einsum("pk,pkbij->pbij", dy, A)
+            ds = rd - c_einsum("pk,pkbij->pbij", dy, A)
             dss.append(ds)
             dxs.append(_sym(x_part(x, sinv, smu_x, corr, ds)))
         dz = rd_u - _mv(bt.G.swapaxes(1, 2), dy)
@@ -835,10 +833,10 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     dy_a, dxs_a, dss_a, du_a, dz_a = directions(0.0, 0.0, [0.0] * len(bt.X), 0.0)
     ap, ad = (np.array(a) for a in step_lengths(dxs_a, dss_a, du_a, dz_a, 1.0))
     ap4, ad4 = ap[:, None, None, None], ad[:, None, None, None]
-    comp_aff = _sum(
-        np.einsum("pbij,pbij->p", x + ap4 * dx, s + ad4 * ds)
+    comp_aff = _sum([
+        c_einsum("pbij,pbij->p", x + ap4 * dx, s + ad4 * ds)
         for x, dx, s, ds in zip(bt.X, dxs_a, bt.S, dss_a)
-    ) + _dot(bt.u + ap[:, None] * du_a, bt.z + ad[:, None] * dz_a)
+    ]) + _dot(bt.u + ap[:, None] * du_a, bt.z + ad[:, None] * dz_a)
     sigma_mu = []
     for i, (c, m) in enumerate(zip(comp_aff.tolist(), mu)):
         if i in broken:  # its direction is a placeholder or NaN; the cube could overflow
@@ -849,9 +847,11 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
         sigma_mu.append(sigma * m)
 
     smu = np.array(sigma_mu)
-    dy, dxs, dss, du, dz = directions(
-        smu[:, None, None, None], smu[:, None], [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
-    )
+    corrs, corr_u = [dx @ ds for dx, ds in zip(dxs_a, dss_a)], du_a * dz_a
+    # release what the corrector's step-length test, the step's memory peak, does not read
+    del dy_a, dxs_a, dss_a, du_a, dz_a
+    dy, dxs, dss, du, dz = directions(smu[:, None, None, None], smu[:, None], corrs, corr_u)
+    del sinvs, ms_chol, ms_chol_t
     ap, ad = step_lengths(dxs, dss, du, dz, STEP_FRAC)
     for i, (p, d) in enumerate(zip(ap, ad)):
         if p <= 0 or d <= 0:
@@ -891,10 +891,10 @@ def _advance(bt, rows, dy, dxs, dss, du, dz, ap, ad) -> list:
         nz = bt.z[sel] + a_d[:, None] * dz[sel]
         chol = [_cholesky(st) for st in stacks]
         uz = np.concatenate((nu, nz), axis=1)
-        ok = ((uz > 0.0) & (uz < math.inf)).all(axis=1)
+        ok = np.logical_and.reduce((uz > 0.0) & (uz < math.inf), axis=1)
         for st, c in zip(stacks, chol):
-            ok &= np.isfinite(st).all(axis=(1, 2, 3)) & _factored(c)
-        if isinstance(sel, slice) and ok.all():
+            ok &= np.logical_and.reduce(np.isfinite(st), axis=(1, 2, 3)) & _factored(c)
+        if isinstance(sel, slice) and np.logical_and.reduce(ok):
             bt.X = [st[:, :h] for st, h in zip(stacks, halves)]
             bt.S = [st[:, h:] for st, h in zip(stacks, halves)]
             bt.u, bt.z, bt.chol = nu, nz, chol

@@ -13,6 +13,7 @@ from swiptcran.beamform import (
     solve_division,
     unsolved_report,
 )
+import swiptcran.beamform as beamform_module
 import swiptcran.division as division_module
 import swiptcran.sdp as sdp_module
 from swiptcran.division import (
@@ -433,6 +434,26 @@ class TestInstance:
             assert report.objective == fresh.objective
             for field in ("p_op", "p_pu", "ranges"):
                 np.testing.assert_array_equal(getattr(report, field), getattr(fresh, field))
+
+    def test_repeated_evaluate_is_answered_from_the_memo(self, monkeypatch):
+        inst = _instance(11)
+        report, solution = inst.evaluate(GroupDivision(7, {0, 3}))
+        builds = []
+        real_build = beamform_module.build_sdp
+
+        def build(*args, **kwargs):
+            builds.append(args[2])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(beamform_module, "build_sdp", build)
+        # an equal division, made anew
+        again = inst.evaluate(GroupDivision(7, {3, 0}))
+        assert builds == []
+        assert again[0] is report and again[1] is solution
+        # another instance of the same draw sharing the store still builds for its key
+        shared = Instance(inst.topology, inst.channels, inst.params, store=inst.store)
+        assert shared.evaluate(GroupDivision(7, {0, 3}))[1] is solution
+        assert builds == [GroupDivision(7, {0, 3})]
 
     def test_evaluate_checks_the_partition_on_every_call(self):
         inst = _instance(11, n_et=2)

@@ -7,9 +7,11 @@ tree a subprocess solves one fixed set of problems: 3/3/7 divisions over
 several topology seeds at two assisted floors `p_amin`, one batch of 132
 long-term slot problems under the three stage divisions (more than two
 batches of 64, so rows leave each batch at different iterations and the
-solve crosses batch boundaries), oracle instances 0-7, and the
+solve crosses batch boundaries), oracle instances 0-7, the
 mixed-outcome problems alone and as one batch (the last two from this
-checkout's `tests/oracles.py`).
+checkout's `tests/oracles.py`), and three problems without a PSD block,
+one per status (Optimal, Infeasible, Unbounded), whose iteration runs on
+the nonnegative orthant alone.
 The set runs at each step fraction of `STEP_FRAC_RUNS`: above 1, a step
 leaves the cone and the interiority back-off and the Schur jitter run.
 Each solution's status, detail, iteration count, objective, residuals and
@@ -44,6 +46,7 @@ def problem_set() -> list:
     from oracles import mixed_outcome_batch, oracle_instance
     from swiptcran.beamform import MW_PER_W, GroupDivision, SystemParams, build_sdp
     from swiptcran.longterm import mask_fet_channels
+    from swiptcran.sdp import SdpConstraint, SdpProblem
     from swiptcran.topology import draw_channels, generate_topology
 
     out = []
@@ -69,6 +72,11 @@ def problem_set() -> list:
     mixed = mixed_outcome_batch()
     out += [(f"mixed {k} alone", [p]) for k, p in enumerate(mixed)]
     out.append(("mixed batch", mixed))
+    for status, obj, bounds in (("optimal", 1.0, [(">=", 5.0)]),
+                                ("infeasible", 1.0, [(">=", 5.0), ("<=", 3.0)]),
+                                ("unbounded", -1.0, [(">=", 0.0)])):
+        constraints = tuple(SdpConstraint({}, {0: 1.0}, sense, rhs) for sense, rhs in bounds)
+        out.append((f"scalar {status}", [SdpProblem((), 1, {}, {0: obj}, constraints)]))
     return out
 
 
