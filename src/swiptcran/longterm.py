@@ -9,9 +9,12 @@ floors depend only on geometry, so the solves are bit-identical whatever
 those columns contained.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import sdp
 
 # the stage no longer calls solve_division, but perfbench/tracing.py wraps
 # longterm.solve_division, so the name stays a module attribute
@@ -141,9 +144,11 @@ def longterm_stage(
     Each slot is drawn once and shared by every division.  Frozen FET
     channel columns are zeroed before each build: their floors are
     geometric, so results cannot depend on what those ETs would have
-    reported.  Each distinct division is solved once, and every (slot,
-    division) problem of the stage goes to one batch; each report equals
-    what `solve_division` gives for its slot alone.  Unsolved slots yield
+    reported.  Each distinct division is solved once, and the stage's
+    (slot, division) problems are solved in the fewest batches of at most
+    `sdp.BATCH_SIZE`, of near-equal sizes (150 problems as 3 x 50, not
+    64 + 64 + 22), each built when it is solved; each report equals what
+    `solve_division` gives for its slot alone.  Unsolved slots yield
     NaN reports with `feasible` false and the solver's status
     (`Infeasible` or `MaxIterations`) in `status`.
     """
@@ -155,6 +160,11 @@ def longterm_stage(
         division.validate_for(topology.n_et)
     draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
     requests = ((mask_fet_channels(ch, division), division) for division in distinct for ch in draws)
-    reports = solve_division_batch(topology, requests, params)
+    n = len(distinct) * q_longterm
+    chunks = -(-n // sdp.BATCH_SIZE)
+    reports = []
+    for i in range(chunks):
+        size = (i + 1) * n // chunks - i * n // chunks
+        reports += solve_division_batch(topology, itertools.islice(requests, size), params)
     by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
     return [by_division[d] for d in divisions]

@@ -31,12 +31,15 @@ matrix by matrix, einsum keeps its inner loops, per-problem scalars are
 Python floats; einsum over a group of one block runs problem by problem),
 so each result is bit-identical to solving that problem alone.  A group
 holds the blocks of one embedded dimension, with X and S stacked: the
-interiority test factors the stack (X, S) once, and that factor gives S^-1
-and the four step-length tests of the next iteration.  The Schur matrix is
-factored once per iteration, for the predictor and the corrector, and its
-contraction is written as the matmuls einsum's planner picks for it.  These
-forms are fixed on purpose: a contraction reordered, even into one equal in
-exact arithmetic, rounds differently and moves the iterates.
+interiority test factors the stack (X, S) once, and the next iteration
+inverts that factor L once: L^-1 gives S^-1 and the four step-length tests,
+each lambda_min(L^-1 d L^-T) by matmul.  The Schur matrix is factored once
+per iteration, for the predictor and the corrector, and its contraction is
+written as the matmuls einsum's planner picks for it.  These forms are fixed
+on purpose: a contraction reordered, even into one equal in exact
+arithmetic, rounds differently and moves the iterates.  One was changed on
+purpose, the step tests' L^-1 for two triangular solves: it moved no status
+or iteration count, and objectives by at most 5.2e-9 relative (< TOL_GAP).
 
 The kernels are called without their Python wrappers, which cost as much as
 the kernel on these small stacks; kernel and inputs are the same, so the
@@ -372,14 +375,15 @@ def _adjoint_dot(a, m):
     return c_einsum("pkbij,pbji->pk", a, m)
 
 
-def _max_steps(chol: np.ndarray, d: np.ndarray) -> list:
+def _max_steps(linv: np.ndarray, d: np.ndarray) -> list:
     """Per problem, the largest a with X + a dX PSD and with S + a dS PSD; inf if unbounded.
 
-    `chol` holds the Cholesky factors of one group's stacks (X, S) and `d`
-    the matching stacks (dX, dS); the two halves share one chain of calls.
+    `linv` holds the inverses L^-1 of the Cholesky factors L of one group's
+    stacks (X, S) and `d` the matching stacks (dX, dS).  X + a dX is PSD
+    while I + a L^-1 dX L^-T is, so a reaches -1 / lambda_min(L^-1 dX L^-T),
+    as in SDPT3; the two halves share one chain of calls.
     """
-    y = _solve(chol, _solve(chol, d).swapaxes(-1, -2))
-    lam = _eigvalsh(_sym(y))
+    lam = _eigvalsh(_sym(linv @ d @ linv.swapaxes(-1, -2)))
     worst = np.minimum.reduce(lam.reshape(len(lam), 2, -1), axis=2).tolist()
     return [[math.inf if w >= -1e-14 else 1.0 / (-w) for w in pair] for pair in worst]
 
@@ -532,19 +536,14 @@ class _Batch:
             setattr(self, name, getattr(self, name)[rows])
 
 
-# Problems per batched IPM run.  `tools/batch_curve.py --repeat 15` on the
+# Problems per batched IPM run.  `tools/batch_curve.py --repeat 7` on the
 # 150 stage solves of one `longterm` trial (3 RRHs, 3 ITs, 7 ETs; 2 shared
-# CPUs, numpy 2.4, one BLAS thread):
-#   size  batches  ms/solve  peak RSS rise (MB)
-#      1      150      9.76                0.75
-#     16       10      3.21                0.88
-#     32        5      2.81                1.90
-#     50        3      2.61                2.69
-#     64        3      2.74                3.70
-#     75        2      2.72                4.16
-#    150        1      2.50                8.22
-# Past 32 time falls slowly (9% from 64 to 150) and memory grows fast.  64
-# keeps `longterm` peak RSS within 8% of a batch of 16 (+6.0%; 75: +7.4%).
+# CPUs, numpy 2.4, one BLAS thread), which `longterm_stage` splits into the
+# fewest near-equal batches (3 x 50 at 64):
+#   size                  1     16     32     64     75    150
+#   ms per solve       6.82   2.28   2.05   1.86   1.82   1.73
+#   peak RSS rise (MB) 0.62   0.75   1.36   2.26   3.46   7.59
+# Past 32 time falls slowly (7% from 64 to 150) and memory grows fast.
 BATCH_SIZE = 64
 
 
@@ -758,11 +757,11 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
     """
     k_total = bt.k_total
     n = len(mu)
+    linvs = [_solve(chol, _eye(chol.shape[-1])) for chol in bt.chol]
     sinvs, ms = [], np.zeros((n, k_total, k_total))
-    for A, x, chol in zip(bt.A, bt.X, bt.chol):
-        chol_s = chol[:, x.shape[1]:]
-        linv = _solve(chol_s, _eye(x.shape[-1]))
-        sinv = _sym(linv.swapaxes(-1, -2) @ linv)
+    for A, x, linv in zip(bt.A, bt.X, linvs):
+        linv_s = linv[:, x.shape[1]:]
+        sinv = _sym(linv_s.swapaxes(-1, -2) @ linv_s)
         sinvs.append(sinv)
         if not k_total:
             continue
@@ -817,8 +816,8 @@ def _ipm_step(bt: _Batch, rp, rds, rd_u, mu: list) -> dict:
         """Per problem (ap, ad), as Python floats.  A row with a NaN cone step
         (a failed kernel) is marked broken; `min` would drop that NaN."""
         steps = [
-            _max_steps(chol, np.concatenate((dx, ds), axis=1))
-            for chol, dx, ds in zip(bt.chol, dxs, dss)
+            _max_steps(linv, np.concatenate((dx, ds), axis=1))
+            for linv, dx, ds in zip(linvs, dxs, dss)
         ]
         steps.append(_max_step_vec(uz, np.concatenate((du, dz), axis=1)))
         ap, ad = [], []

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 try:
     from numpy._core import einsumfunc
@@ -265,6 +266,33 @@ class TestCallCounts:
         # backtrack or a jitter retry) allows one more
         assert 0 < cholesky["calls"] <= 2 * sol.iterations + 1 + len(cholesky["failed"])
 
+    def test_a_batch_of_one_iteration_makes_five_solves(self, monkeypatch):
+        # one group: L^-1 of its (X, S) factor, which serves S^-1 and both
+        # step-length tests, and two triangular solves of the Schur factor
+        # each for the predictor and the corrector
+        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        ch = draw_channels(topo, seed=5, slot=0)
+        problem = build_sdp(topo, ch, GroupDivision.all_met(7), SystemParams())
+        solve_, ipm_step = sdp_module._solve, sdp_module._ipm_step
+        calls, per_step = [0], []
+
+        def counted_solve(a, b):
+            calls[0] += 1
+            return solve_(a, b)
+
+        def counted_step(*args):
+            before = calls[0]
+            broken = ipm_step(*args)
+            per_step.append(calls[0] - before)
+            return broken
+
+        monkeypatch.setattr(sdp_module, "_solve", counted_solve)
+        monkeypatch.setattr(sdp_module, "_ipm_step", counted_step)
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert len(per_step) == sol.iterations
+        assert set(per_step) == {5}
+
     def test_kernels_bypass_the_linalg_wrappers(self, monkeypatch):
         # every solve, eigvalsh and cholesky of a solve calls the LAPACK gufunc itself
         topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
@@ -333,14 +361,9 @@ class TestKernels:
     @pytest.mark.parametrize("n_problems", [1, 3, 16])
     def test_solve_matches_linalg(self, n_problems):
         rng = np.random.default_rng(n_problems)
-        # the step-length solves: (X, S) factors of 3 blocks against (dX, dS)
+        # L^-1 of the (X, S) factors of 3 blocks, against a broadcast identity
         chol = self._factors(rng, (n_problems, 6, 6, 6))
-        d = rng.standard_normal((n_problems, 6, 6, 6))
-        np.testing.assert_array_equal(sdp_module._solve(chol, d), np.linalg.solve(chol, d))
-        # S^-1 from the S factors and a broadcast identity
-        np.testing.assert_array_equal(
-            sdp_module._solve(chol[:, 3:], np.eye(6)), np.linalg.solve(chol[:, 3:], np.eye(6))
-        )
+        np.testing.assert_array_equal(sdp_module._solve(chol, np.eye(6)), np.linalg.solve(chol, np.eye(6)))
         # the Schur solves: (P, K, K) factors against (P, K, 1)
         schur = self._factors(rng, (n_problems, 13, 13))
         h = rng.standard_normal((n_problems, 13, 1))
@@ -386,6 +409,48 @@ class TestKernels:
         assert [tries for _, tries in reference] == [1, 2, 3, 4, 4]
         for got, (expected, _) in zip(factors, reference):
             np.testing.assert_array_equal(got, np.eye(k) if expected is None else expected)
+
+
+class TestMaxSteps:
+    """`_max_steps` against scipy's generalized eigensolver: X + a dX stays
+    PSD up to a = -1 / lambda_min(dX, X), the pencil's least eigenvalue."""
+
+    @staticmethod
+    def _spd(rng, n, cond):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (q * np.logspace(0, -np.log10(cond), n)) @ q.T
+
+    def _stacks(self, rng, cond, n_problems=4, n_blocks=3, n=6):
+        """(X, S) stacks with condition number `cond` per matrix, and L^-1 of their factors."""
+        xs = sdp_module._sym(np.array([
+            [self._spd(rng, n, cond) for _ in range(2 * n_blocks)] for _ in range(n_problems)
+        ]))
+        return xs, sdp_module._solve(sdp_module._cholesky(xs), sdp_module._eye(n))
+
+    @pytest.mark.parametrize("cond", [1e2, 1e10])
+    def test_matches_the_generalized_eigenproblem(self, cond):
+        rng = np.random.default_rng(int(np.log10(cond)))
+        xs, linv = self._stacks(rng, cond)
+        m = rng.standard_normal(xs.shape)
+        d = m + m.swapaxes(-1, -2)
+        steps = sdp_module._max_steps(linv, d)
+        half = xs.shape[1] // 2
+        # each side's error in lambda_min is about n * eps * cond(X) of its size
+        rtol = xs.shape[-1] * np.finfo(float).eps * cond
+        for p, pair in enumerate(steps):
+            for h, got in enumerate(pair):
+                lam = min(
+                    scipy.linalg.eigh(d[p, b], xs[p, b], eigvals_only=True)[0]
+                    for b in range(h * half, (h + 1) * half)
+                )
+                assert lam < 0
+                assert got == pytest.approx(-1.0 / lam, rel=rtol)
+
+    def test_a_psd_direction_is_unbounded(self):
+        rng = np.random.default_rng(10)
+        xs, linv = self._stacks(rng, 1e10)
+        g = rng.standard_normal(xs.shape)
+        assert sdp_module._max_steps(linv, g @ g.swapaxes(-1, -2)) == [[np.inf, np.inf]] * len(xs)
 
 
 def _factor_one(m):
@@ -537,6 +602,28 @@ class TestSolveBatch:
         for got, problem in zip(batch[1:], problems[1:]):
             _assert_same_solution(got, solve(problem))
 
+    def test_a_nan_factor_ends_only_its_problem(self, monkeypatch):
+        # a NaN in the X half of problem 0's (X, S) factor gives a NaN L^-1,
+        # so a NaN primal step: that row breaks down, and the rest of the
+        # batch carries on as if solved alone
+        problems = mixed_outcome_batch()
+        alone = [solve(p) for p in problems[1:]]
+        ipm_step = sdp_module._ipm_step
+
+        def nan_x_factor_for_first(bt, *args):
+            if bt.ids[0] == 0:
+                chol = bt.chol[0]
+                chol[0, :chol.shape[1] // 2] = np.nan
+            return ipm_step(bt, *args)
+
+        monkeypatch.setattr(sdp_module, "_ipm_step", nan_x_factor_for_first)
+        batch = solve_batch(problems)
+        assert batch[0].status is SdpStatus.MAX_ITERATIONS
+        assert batch[0].detail == "numerical breakdown: non-finite step length"
+        assert batch[0].iterations == 0
+        for got, one in zip(batch[1:], alone):
+            _assert_same_solution(got, one)
+
     @pytest.mark.parametrize("batch", [_longterm_batch, mixed_outcome_batch])
     def test_backed_off_steps_match_solving_alone(self, monkeypatch, batch):
         # a step of 1.2 times the distance to the cone boundary leaves the
@@ -624,10 +711,11 @@ class TestSolveBatch:
         # the peak of one full batch beyond its own A stack, in units of
         # that stack: with every temporary capped at 16 rows of A and the
         # predictor's directions, S^-1 and the Schur factor released before
-        # the corrector's step-length test, 64 problems reach 2.1 units (2.8
-        # while those stayed alive); at 16 problems without the caps it was
-        # 4.5, and the Schur assembly, the embedding at assembly or holding
-        # the problems each lift 64 problems above 3 on their own
+        # the corrector's step-length test, 64 problems reach 2.2 units (2.8
+        # while those stayed alive; the L^-1 that test reads adds 0.1); at 16
+        # problems without the caps it was 4.5, and the Schur assembly, the
+        # embedding at assembly or holding the problems each lift 64
+        # problems above 3 on their own
         problems = _stage_batch(sdp_module.BATCH_SIZE)
         first = problems[0]
         a_bytes = 8 * len(problems) * len(first.constraints) * sum((2 * d) ** 2 for d in first.block_dims)

@@ -7,12 +7,15 @@ workload of `perfbench/workloads.py` (or only W), every round of its panel
 runs as one CLI call under each tree, on this checkout's
 `perfbench/conf/` files.  The rows are then compared column by column,
 `solve_ms` (a wall-clock timing) left out, and so are the printed summary
-lines.  Prints the rows that differ per column and exits 1 if any row or
-line differs, else 0.
+lines.  Prints whether the discrete columns (status, iterations,
+division_bitmask, termination) moved, the rows that differ per column and,
+for a power column, the largest relative move |new - old| / |old| of a row
+and where it happened.  Exits 1 if any row or line differs, else 0.
 """
 
 import argparse
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +27,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 IGNORED = ("solve_ms",)
+DISCRETE = ("status", "iterations", "division_bitmask", "termination")
+NUMERIC = ("objective_mw", "p_op_total_mw", "p_pu_total_mw")
 
 
 def package_root(tree: str) -> Path:
@@ -47,22 +52,46 @@ def run_round(src: Path, workload, master_seed: int, workdir: Path) -> tuple[lis
     return rows, done.stdout.splitlines()
 
 
-def compare_round(old, new) -> tuple[dict[str, int], int]:
-    """Per column, the number of rows that differ; and the differing printed lines."""
+def relative_move(old: str, new: str) -> float:
+    """|new - old| / |old| of two CSV numbers; inf where one is not a number
+    or only one is NaN, 0.0 for equal values."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.inf
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return abs(b - a) / abs(a) if a else (0.0 if b == a else math.inf)
+
+
+def _merge(diffs: dict, col: str, count: int, worst) -> None:
+    """Add `count` differing rows and their worst (move, row) to `diffs[col]`."""
+    n, top = diffs.get(col, (0, None))
+    if top is None or (worst is not None and worst[0] > top[0]):
+        top = worst
+    diffs[col] = (n + count, top)
+
+
+def compare_round(old, new) -> tuple[dict[str, tuple], int]:
+    """Per column that differs, (rows that differ, worst), where worst is
+    (largest relative move, row index) for a `NUMERIC` column and None
+    otherwise; and the differing printed lines."""
     (old_rows, old_lines), (new_rows, new_lines) = old, new
-    diffs: dict[str, int] = {}
+    diffs: dict[str, tuple] = {}
     if len(old_rows) != len(new_rows):
-        diffs["<row count>"] = abs(len(old_rows) - len(new_rows))
-    for a, b in zip(old_rows, new_rows):
+        diffs["<row count>"] = (abs(len(old_rows) - len(new_rows)), None)
+    for i, (a, b) in enumerate(zip(old_rows, new_rows)):
         for col in a.keys() | b.keys():
             if col not in IGNORED and a.get(col) != b.get(col):
-                diffs[col] = diffs.get(col, 0) + 1
+                move = (relative_move(a.get(col, ""), b.get(col, "")), i) if col in NUMERIC else None
+                _merge(diffs, col, 1, move)
     lines = sum(a != b for a, b in zip(old_lines, new_lines)) + abs(len(old_lines) - len(new_lines))
     return diffs, lines
 
 
-def compare(old_src: Path, new_src: Path, workload, seeds) -> tuple[int, dict[str, int], int]:
-    """Rows compared, differing rows per column and differing lines over the rounds `seeds`."""
+def compare(old_src: Path, new_src: Path, workload, seeds) -> tuple[int, dict[str, tuple], int]:
+    """Rows compared, differing rows per column and differing lines over the
+    rounds `seeds`; a worst move's place reads "round SEED row I"."""
     n_rows, total, n_lines = 0, {}, 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
@@ -71,9 +100,19 @@ def compare(old_src: Path, new_src: Path, workload, seeds) -> tuple[int, dict[st
             diffs, lines = compare_round(old, new)
             n_rows += len(old[0])
             n_lines += lines
-            for col, n in diffs.items():
-                total[col] = total.get(col, 0) + n
+            for col, (n, worst) in diffs.items():
+                _merge(total, col, n, worst and (worst[0], f"round {seed} row {worst[1]}"))
     return n_rows, total, n_lines
+
+
+def describe(diffs: dict[str, tuple]) -> str:
+    """`compare`'s differing columns: whether the discrete ones moved, then each column."""
+    moved = [col for col in DISCRETE if col in diffs]
+    parts = [f"{', '.join(moved)} moved" if moved else f"{', '.join(DISCRETE)} identical"]
+    for col, (n, worst) in sorted(diffs.items()):
+        parts.append(f"{col} {n}" if worst is None else
+                     f"{col} {n} (largest relative move {worst[0]:.2e}, {worst[1]})")
+    return "; ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -93,9 +132,8 @@ def main(argv=None) -> int:
                   f"{', '.join(IGNORED)}; printed lines identical")
             continue
         same = False
-        cols = ", ".join(f"{col} {n}" for col, n in sorted(diffs.items())) or "none"
         print(f"{name}: {workload.panel} rounds, {n_rows} rows; rows differing per column: "
-              f"{cols}; {n_lines} printed lines differ")
+              f"{describe(diffs)}; {n_lines} printed lines differ")
     return 0 if same else 1
 
 

@@ -14,24 +14,32 @@ one per status (Optimal, Infeasible, Unbounded), whose iteration runs on
 the nonnegative orthant alone.
 The set runs at each step fraction of `STEP_FRAC_RUNS`: above 1, a step
 leaves the cone and the interiority back-off and the Schur jitter run.
-Each solution's status, detail, iteration count, objective, residuals and
-the bytes of its scalars and blocks are compared.  Prints the number of
-solutions that differ per field and exits 1 if any differs, else 0.
+Each solution's status, detail, iteration count, objective, residuals,
+scalars and blocks are compared bit for bit.  Prints whether the discrete
+fields (status, detail, iterations) moved, and for each field the number of
+solutions that differ; for a numeric field also its largest relative move,
+max|new - old| / max|old| over the field's numbers of one solution, and
+where it happened.  Exits 1 if any field differs, else 0.
 """
 
 import argparse
-import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 STEP_FRAC_RUNS = (0.98, 1.2, 1.9)
 # slots per stage division: 3 x 44 = 132 problems, at least 2 x 64 + 3
 LONGTERM_SLOTS = 44
-FIELDS = ("status", "detail", "iterations", "objective", "residuals", "scalars", "blocks")
+DISCRETE = ("status", "detail", "iterations")
+# each recorded as a list of float.hex() strings; a block's complex entries as (re, im) pairs
+NUMERIC = ("objective", "residuals", "scalars", "blocks")
+FIELDS = DISCRETE + NUMERIC
 
 
 def package_root(tree: str) -> Path:
@@ -88,17 +96,18 @@ def solve_set(step_frac: float) -> list[dict]:
     records = []
     for label, problems in problem_set():
         for k, sol in enumerate(sdp.solve_batch(problems)):
-            blocks = hashlib.sha256(b"".join(w.tobytes() for w in sol.block_values))
+            blocks = np.concatenate([np.asarray(w, dtype=np.complex128).view(float).ravel()
+                                     for w in sol.block_values] or [np.zeros(0)])
             records.append({
                 "label": label if len(problems) == 1 else f"{label} [{k}]",
                 "status": sol.status.value,
                 "detail": sol.detail,
                 "iterations": sol.iterations,
-                "objective": sol.objective_value.hex(),
+                "objective": [sol.objective_value.hex()],
                 "residuals": [float(v).hex() for v in
                               (sol.primal_residual, sol.dual_residual, sol.duality_gap)],
-                "scalars": sol.scalar_values.tobytes().hex(),
-                "blocks": blocks.hexdigest(),
+                "scalars": [v.hex() for v in sol.scalar_values.tolist()],
+                "blocks": [v.hex() for v in blocks.tolist()],
             })
     return records
 
@@ -114,16 +123,48 @@ def run_tree(src: Path, step_frac: float) -> list[dict]:
     return json.loads(done.stdout)
 
 
-def compare(old: list[dict], new: list[dict]) -> dict[str, int]:
-    """Per field, the number of solutions that differ."""
+def relative_move(old: list[str], new: list[str]) -> float:
+    """max|new - old| / max|old| of two lists of float.hex() strings; inf
+    where the lengths differ or only one side is NaN, 0.0 for equal values."""
+    a, b = (np.array([float.fromhex(h) for h in v]) for v in (old, new))
+    if a.shape != b.shape:
+        return math.inf
+    diff = np.where(np.isnan(a) & np.isnan(b), 0.0, np.abs(a - b))
+    top = float(diff.max(initial=0.0))
+    if math.isnan(top):
+        return math.inf
+    scale = float(np.nanmax(np.abs(a), initial=0.0))
+    return top / scale if scale else (0.0 if top == 0.0 else math.inf)
+
+
+def compare(old: list[dict], new: list[dict]) -> dict[str, tuple]:
+    """Per field that differs, (solutions that differ, worst), where worst is
+    (largest relative move, its label) for a numeric field and None otherwise."""
     diffs = {}
     if [r["label"] for r in old] != [r["label"] for r in new]:
-        diffs["<problem set>"] = 1
+        diffs["<problem set>"] = (1, None)
     for a, b in zip(old, new):
         for field in FIELDS:
-            if a[field] != b[field]:
-                diffs[field] = diffs.get(field, 0) + 1
+            if a[field] == b[field]:
+                continue
+            count, worst = diffs.get(field, (0, None))
+            if field in NUMERIC:
+                move = (relative_move(a[field], b[field]), a["label"])
+                worst = move if worst is None or move[0] > worst[0] else worst
+            diffs[field] = (count + 1, worst)
     return diffs
+
+
+def describe(diffs: dict[str, tuple]) -> str:
+    """`compare`'s result in one line: whether a discrete field moved, then each field that differs."""
+    moved = [f for f in DISCRETE if f in diffs]
+    parts = [f"{', '.join(moved)} moved" if moved else f"{', '.join(DISCRETE)} identical"]
+    for field, (count, worst) in sorted(diffs.items()):
+        if worst is None:
+            parts.append(f"{field} {count}")
+        else:
+            parts.append(f"{field} {count} (largest relative move {worst[0]:.2e}, {worst[1]})")
+    return "; ".join(parts)
 
 
 def main(argv=None) -> int:
@@ -146,8 +187,7 @@ def main(argv=None) -> int:
             print(f"STEP_FRAC {step_frac}: {len(old)} solutions identical")
             continue
         same = False
-        fields = ", ".join(f"{field} {n}" for field, n in sorted(diffs.items()))
-        print(f"STEP_FRAC {step_frac}: {len(old)} solutions; differing per field: {fields}")
+        print(f"STEP_FRAC {step_frac}: {len(old)} solutions; differing per field: {describe(diffs)}")
     return 0 if same else 1
 
 
