@@ -284,18 +284,12 @@ def _candidate_finish(problem, beams, tol=1e-9):
     return scale, scalars, objective
 
 
-def recover_beamformers(
-    solution: SdpSolution,
-    problem: SdpProblem,
-    rank_tol: float = RANK_TOL,
-    n_candidates: int = N_CANDIDATES,
-    rng=None,
-) -> BeamformerSet:
+def recover_beamformers(solution: SdpSolution, problem: SdpProblem) -> BeamformerSet:
     """Extract one beamforming vector per PSD block.
 
-    Blocks whose dominant eigenvalue carries at least (1 - rank_tol) of the
+    Blocks whose dominant eigenvalue carries at least (1 - RANK_TOL) of the
     trace yield the scaled principal eigenvector; otherwise Gaussian
-    randomization draws `n_candidates` vectors from each such block's
+    randomization draws `N_CANDIDATES` vectors from each such block's
     covariance, repairs each candidate set by minimal common rescaling plus
     scalar completion, and keeps the cheapest feasible one.
     """
@@ -311,7 +305,7 @@ def recover_beamformers(
             eig_beams.append(np.zeros(w.shape[0], dtype=complex))
             continue
         eig_beams.append(np.sqrt(lam[-1]) * vec[:, -1])
-        if lam[-1] < (1 - rank_tol) * trace:
+        if lam[-1] < (1 - RANK_TOL) * trace:
             needs_random.append(b)
 
     finish = _candidate_finish(problem, eig_beams)
@@ -319,7 +313,7 @@ def recover_beamformers(
         scale, _, _ = finish
         return BeamformerSet(np.column_stack(eig_beams) * np.sqrt(scale))
 
-    rng = np.random.default_rng(_RANDOMIZATION_SEED if rng is None else rng)
+    rng = np.random.default_rng(_RANDOMIZATION_SEED)
     factors = {}
     for b in needs_random:
         w = solution.block_values[b]
@@ -329,7 +323,7 @@ def recover_beamformers(
     best = None
     if finish is not None:
         best = (finish[2], eig_beams, finish[0])
-    for _ in range(n_candidates):
+    for _ in range(N_CANDIDATES):
         beams = list(eig_beams)
         for b, fac in factors.items():
             z = rng.standard_normal(fac.shape[1]) + 1j * rng.standard_normal(fac.shape[1])

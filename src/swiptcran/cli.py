@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .beamform import GroupDivision, PowerReport, SystemParams
+from .beamform import MW_PER_W, GroupDivision, PowerReport, SystemParams
 from .config import MODES, ConfigError, ExperimentConfig, load_config
 from .division import (
     DivisionRunResult,
@@ -28,8 +28,7 @@ from .division import (
     baseline_all_met,
     brute_force,
 )
-from .longterm import TrainingFailure, longterm_stage, training_stage
-from .sdp import SdpStatus
+from .longterm import longterm_stage, training_stage
 from .topology import draw_channels, generate_topology
 from .validate import run_all_checks
 
@@ -66,8 +65,8 @@ def _fmt(value: float) -> str:
 
 
 def _report_fields(report: PowerReport) -> dict[str, str]:
-    total_op = float(np.sum(report.p_op)) * 1e3
-    total_pu = float(np.sum(report.p_pu)) * 1e3
+    total_op = float(np.sum(report.p_op)) * MW_PER_W
+    total_pu = float(np.sum(report.p_pu)) * MW_PER_W
     return {
         "status": report.status.value,
         "objective_mw": _fmt(report.objective),
@@ -203,58 +202,66 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
     return rows, summary
 
 
+def _summarize_longterm(rows: list[dict[str, str]], q_longterm: int) -> list[str]:
+    """Per variant: the mean over trained trials of each trial's cumulative
+    feasible objective (summed in slot order), the slot infeasibility rate
+    and the unsolved slot count."""
+    trained = sum(r["stage"] == "training" and r["status"] == "Optimal" for r in rows)
+    lines = ["long-term cumulative consumption (mean over trials, mW):"]
+    for variant in LONGTERM_VARIANTS:
+        if not trained:
+            lines.append(f"  {variant}: no completed trials")
+            continue
+        statuses, per_trial = [], {}
+        for r in rows:
+            if r["algorithm"] == variant:
+                statuses.append(r["status"])
+                if r["status"] == "Optimal":
+                    per_trial[r["trial"]] = per_trial.get(r["trial"], 0.0) + float(r["objective_mw"])
+        n_infeasible = statuses.count("Infeasible")
+        rate = n_infeasible / len(statuses) if statuses else 0.0
+        n_unsolved = len(statuses) - statuses.count("Optimal") - n_infeasible
+        lines.append(
+            f"  {variant}: cumulative {sum(per_trial.values()) / trained:.4f} after {q_longterm} "
+            f"slots, slot infeasibility rate {rate:.3f}, {n_unsolved} unsolved slots"
+        )
+    return lines
+
+
 def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
     base = _base_row(config)
     rows = []
-    cumulative = {v: 0.0 for v in LONGTERM_VARIANTS}
-    counted = {v: 0 for v in LONGTERM_VARIANTS}
-    infeasible_slots = {v: 0 for v in LONGTERM_VARIANTS}
-    unsolved_slots = {v: 0 for v in LONGTERM_VARIANTS}
-
     for trial in range(config.n_trials):
         topology = _trial_topology(config, trial)
-        train_seed = derived_seed(config.seed, trial, 2)
-        lt_seed = derived_seed(config.seed, trial, 3)
         start = time.perf_counter()
-        try:
-            training = training_stage(
-                topology,
-                train_seed,
-                q_training=config.q_training,
-                threshold=config.threshold,
-                params=config.params,
-                algorithm=config.training_algorithm,
-            )
-        except TrainingFailure as exc:
-            ms = (time.perf_counter() - start) * 1e3
-            rows.append(
-                _row(
-                    base,
-                    trial=trial,
-                    algorithm=config.training_algorithm,
-                    status=exc.status.value,
-                    objective_mw="nan",
-                    termination=Termination.for_failure(exc.status).value,
-                    solve_ms=f"{ms:.3f}",
-                    stage="training",
-                )
-            )
-            continue
+        training = training_stage(
+            topology,
+            derived_seed(config.seed, trial, 2),
+            q_training=config.q_training,
+            threshold=config.threshold,
+            params=config.params,
+            algorithm=config.training_algorithm,
+        )
         ms = (time.perf_counter() - start) * 1e3
+        trained = training.feasible
         rows.append(
             _row(
                 base,
                 trial=trial,
                 algorithm=config.training_algorithm,
-                status="Optimal",
+                status=training.status.value,
                 objective_mw="nan",
-                division_bitmask=training.frozen_division.to_bitmask(),
-                iterations=training.slots_used,
-                termination="FixedPoint",
+                division_bitmask=training.frozen_division.to_bitmask() if trained else "",
+                iterations=training.slots_used if trained else "",
+                termination=(
+                    Termination.FIXED_POINT if trained else Termination.for_failure(training.status)
+                ).value,
                 solve_ms=f"{ms:.3f}",
                 stage="training",
             )
         )
+        if not trained:
+            continue
 
         divisions = {
             "frozen-hybrid": training.frozen_division,
@@ -264,7 +271,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
         start = time.perf_counter()
         stage = longterm_stage(
             topology,
-            lt_seed,
+            derived_seed(config.seed, trial, 3),
             list(divisions.values()),
             config.q_longterm,
             params=config.params,
@@ -272,7 +279,6 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
         ms = (time.perf_counter() - start) * 1e3
         per_slot = ms / max(1, len(divisions) * config.q_longterm)
         for (variant, division), reports in zip(divisions.items(), stage):
-            running = 0.0
             for slot, report in enumerate(reports):
                 row = _row(
                     base,
@@ -286,28 +292,7 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
                 )
                 row.update(_report_fields(report))
                 rows.append(row)
-                if report.feasible:
-                    running += report.objective
-                elif report.status is SdpStatus.INFEASIBLE:
-                    infeasible_slots[variant] += 1
-                else:
-                    unsolved_slots[variant] += 1
-            cumulative[variant] += running
-            counted[variant] += 1
-
-    summary = ["long-term cumulative consumption (mean over trials, mW):"]
-    for variant in LONGTERM_VARIANTS:
-        if counted[variant] == 0:
-            summary.append(f"  {variant}: no completed trials")
-            continue
-        final = cumulative[variant] / counted[variant]
-        total_slots = counted[variant] * config.q_longterm
-        rate = infeasible_slots[variant] / total_slots if total_slots else 0.0
-        summary.append(
-            f"  {variant}: cumulative {final:.4f} after {config.q_longterm} slots, "
-            f"slot infeasibility rate {rate:.3f}, {unsolved_slots[variant]} unsolved slots"
-        )
-    return rows, summary
+    return rows, _summarize_longterm(rows, config.q_longterm)
 
 
 def write_rows(path: str, rows: list[dict[str, str]]) -> None:

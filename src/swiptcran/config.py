@@ -86,6 +86,12 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported sweep parameter {self.sweep_param!r}")
         if not self.sweep_values:
             raise ConfigError("sweep.values must be nonempty")
+        # only a sweep reads sweep.values, so only a sweep checks its points
+        for value in self.sweep_values if self.mode == "sweep" else ():
+            try:
+                self.sweep_param_watts(value)
+            except ValueError as exc:
+                raise ConfigError(f"sweep.values: {self.sweep_param} = {value!r}: {exc}") from exc
         if self.q_training < 1 or self.q_longterm < 0:
             raise ConfigError("longterm slot counts out of range")
         if not 0 <= self.threshold <= 1:

@@ -131,30 +131,24 @@ def channel_check(
     channels,
     division: GroupDivision,
     params: SystemParams,
-    poor_channel_factor: float = POOR_CHANNEL_FACTOR,
 ) -> GroupDivision:
     """Demote METs whose assigned-RRH link is far below its path-loss mean.
 
     A unit-variance fading draw has mean power gain d^(-alpha); METs whose
-    realized gain falls under `poor_channel_factor` times that are moved to
+    realized gain falls under `POOR_CHANNEL_FACTOR` times that are moved to
     the FET set, where only geometry matters.
     """
     fet = set(division.fet_set)
     for j in sorted(division.met_set):
         n, d = _assigned_distance(topology, j)
         gain = abs(channels.h_et[n, j]) ** 2
-        if gain < poor_channel_factor * d ** (-params.alpha_abs):
+        if gain < POOR_CHANNEL_FACTOR * d ** (-params.alpha_abs):
             fet.add(j)
     return GroupDivision(division.n_et, fet)
 
 
-def boundary_refine(
-    instance: Instance,
-    division: GroupDivision,
-    ranges,
-    boundary_band: float = BOUNDARY_BAND,
-) -> GroupDivision:
-    """Re-decide ETs within `boundary_band` (relative) of their RRH's range.
+def boundary_refine(instance: Instance, division: GroupDivision, ranges) -> GroupDivision:
+    """Re-decide ETs within `BOUNDARY_BAND` (relative) of their RRH's range.
 
     Each boundary terminal is evaluated under both assignments, holding all
     others fixed, and the cheaper solved option is committed before moving
@@ -165,7 +159,7 @@ def boundary_refine(
     fet = set(division.fet_set)
     for j in range(topology.n_et):
         n, d = _assigned_distance(topology, j)
-        if not abs(d - ranges[n]) < boundary_band * ranges[n]:
+        if not abs(d - ranges[n]) < BOUNDARY_BAND * ranges[n]:
             continue
         as_met = GroupDivision(division.n_et, fet - {j})
         as_fet = GroupDivision(division.n_et, fet | {j})
@@ -222,16 +216,15 @@ def _single_result(
     return DivisionRunResult(division, report, 1, history, termination)
 
 
-def _iterate(initial: GroupDivision, update_fn, max_iters: int) -> DivisionRunResult:
-    """Drive `update_fn` to a fixed point, cycle, infeasibility, or the cap.
+def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
+    """Drive `update_fn` to a fixed point, cycle, infeasibility, or the cap
+    of `MAX_DIVISION_ITERS` rounds.
 
     A division that fails to solve mid-run reverts to the last solved round:
     an infeasible one ends as InfeasibleReverted, a non-converged one as
     NotConverged.  A failure in the first round has nothing to revert to and
     returns that round's NaN report with the solver's status.
     """
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
     rounds: list[tuple[GroupDivision, PowerReport]] = []
 
     def result(group, report, termination, *terminal_repeat) -> DivisionRunResult:
@@ -239,7 +232,7 @@ def _iterate(initial: GroupDivision, update_fn, max_iters: int) -> DivisionRunRe
         return DivisionRunResult(group, report, len(rounds), history, termination)
 
     group = initial
-    for _ in range(max_iters):
+    for _ in range(MAX_DIVISION_ITERS):
         nxt, report = update_fn(group)
         if not report.feasible:
             if not rounds:
@@ -265,7 +258,7 @@ def _run_iterative(instance: Instance, initial: GroupDivision) -> DivisionRunRes
     def update(prev: GroupDivision):
         return update_division(instance, prev)
 
-    return _iterate(start, update, MAX_DIVISION_ITERS)
+    return _iterate(start, update)
 
 
 def algorithm1(instance: Instance) -> DivisionRunResult:

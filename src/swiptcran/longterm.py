@@ -35,35 +35,33 @@ Q_TRAINING = 10
 DIVISION_THRESHOLD = 0.5
 
 
-class TrainingFailure(RuntimeError):
-    """No training slot solved; no division can be frozen.
-
-    `status` is `Infeasible` when every slot was certified infeasible, and
-    otherwise the status of the first slot whose solve did not converge.
-    """
-
-    def __init__(self, message: str, status: SdpStatus):
-        super().__init__(message)
-        self.status = status
-
-
 @dataclass(frozen=True)
 class TrainingResult:
     """Per-ET FET frequency over training plus the frozen division.
 
     `fet_frequency` divides by the number of training slots (unsolved
     slots, infeasible or not converged, count as never-FET); `slots_used` is
-    the number of solved slots that actually contributed.
+    the number of solved slots that actually contributed.  `status` is
+    `Optimal` when any slot solved.  Otherwise no division can be frozen
+    (`frozen_division` then means nothing), and `status` is `Infeasible`
+    when every slot was certified infeasible, else the status of the first
+    slot whose solve did not converge.
     """
 
     fet_frequency: np.ndarray
     frozen_division: GroupDivision
     slots_used: int
+    status: SdpStatus
 
     def __post_init__(self):
         object.__setattr__(
             self, "fet_frequency", np.asarray(self.fet_frequency, dtype=float)
         )
+
+    @property
+    def feasible(self) -> bool:
+        """True when some slot solved, so `frozen_division` holds."""
+        return self.status is SdpStatus.OPTIMAL
 
 
 def mask_fet_channels(channels: ChannelRealization, division: GroupDivision) -> ChannelRealization:
@@ -87,7 +85,8 @@ def training_stage(
     `algorithm` (a name in `ALGORITHMS`, or a callable taking an `Instance`)
     runs once per slot on that slot's draw.  The frozen division assigns FET
     to every ET whose frequency reaches `threshold`; an exact tie freezes as
-    FET (the CSI-free mode is cheaper).
+    FET (the CSI-free mode is cheaper).  A training in which no slot solves
+    is an outcome, not an error: the result's `status` reports it.
     """
     if q_training < 1:
         raise ValueError("q_training must be at least 1")
@@ -114,21 +113,10 @@ def training_stage(
         slots_used += 1
         for j in result.final_division.fet_set:
             counts[j] += 1
-    if slots_used == 0:
-        if unsolved is None:
-            raise TrainingFailure(
-                f"all {q_training} training slots were infeasible", SdpStatus.INFEASIBLE
-            )
-        raise TrainingFailure(
-            f"no training slot solved among {q_training} "
-            f"(some ended {unsolved.value}, feasibility unknown)",
-            unsolved,
-        )
-
     frequency = counts / q_training
     fet = frozenset(j for j in range(topology.n_et) if frequency[j] >= threshold)
-    frozen = GroupDivision(topology.n_et, fet)
-    return TrainingResult(fet_frequency=frequency, frozen_division=frozen, slots_used=slots_used)
+    status = SdpStatus.OPTIMAL if slots_used else unsolved or SdpStatus.INFEASIBLE
+    return TrainingResult(frequency, GroupDivision(topology.n_et, fet), slots_used, status)
 
 
 def longterm_stage(

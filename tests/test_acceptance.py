@@ -35,7 +35,6 @@ from swiptcran.division import (
     brute_force,
 )
 from swiptcran.longterm import (
-    TrainingFailure,
     longterm_stage,
     mask_fet_channels,
     training_stage,
@@ -241,11 +240,8 @@ def test_criterion_6_longterm_cumulative_trend():
     trained = 0
     for trial in range(n_trials):
         topo = generate_topology(seed=trial, n_rrh=3, n_it=3, n_et=7)
-        try:
-            training = training_stage(
-                topo, seed=1000 + trial, q_training=q_training, params=PARAMS
-            )
-        except TrainingFailure:
+        training = training_stage(topo, seed=1000 + trial, q_training=q_training, params=PARAMS)
+        if not training.feasible:
             continue
         trained += 1
         divisions = {
@@ -297,6 +293,7 @@ def test_criterion_8_fet_csi_isolation(monkeypatch):
 
     topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=7)
     training = training_stage(topo, seed=1003, q_training=10, params=PARAMS)
+    assert training.feasible, f"training ended {training.status.value}"
     division = training.frozen_division
     assert division.fet_set, "frozen division has no FETs; pick another seed"
 

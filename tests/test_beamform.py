@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import swiptcran.beamform as beamform_module
 from swiptcran.beamform import (
     MW_PER_W,
     BeamformerSet,
@@ -310,7 +311,8 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_beamformers(solution, problem)
 
-    def test_unrepairable_candidate_raises(self):
+    def test_unrepairable_candidate_raises(self, monkeypatch):
+        monkeypatch.setattr(beamform_module, "N_CANDIDATES", 8)
         # a floor row mixing a scalar defeats the common-rescaling repair
         problem = SdpProblem(
             block_dims=(1,),
@@ -330,7 +332,7 @@ class TestRecovery:
             iterations=0,
         )
         with pytest.raises(RecoveryFailed):
-            recover_beamformers(solution, problem, n_candidates=8)
+            recover_beamformers(solution, problem)
 
 
 class TestPowerAccounting:

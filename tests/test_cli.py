@@ -7,7 +7,9 @@ import pytest
 import swiptcran.beamform as beamform
 import swiptcran.cli as cli
 import swiptcran.division as division_module
+import swiptcran.longterm as longterm_module
 import swiptcran.sdp as sdp_module
+from swiptcran.beamform import GroupDivision, unsolved_report
 from swiptcran.cli import (
     CSV_COLUMNS,
     derived_seed,
@@ -145,6 +147,28 @@ class TestMainSingleSlot:
         assert "config error:" in err
         assert self.BAD_VALUES[line] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "param, value", [("p_amin_dbm", -25), ("p_fmin_dbm", -10)]  # below p_fmin, above p_amin
+    )
+    def test_bad_sweep_value_exits_before_any_trial(self, tmp_path, capsys, param, value):
+        path = tmp_path / "bad.conf"
+        path.write_text(
+            f"topology.n_it = 3\nrun.n_trials = 1\nsweep.param = {param}\nsweep.values = [{value}]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: sweep.values" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["single-slot", "longterm"])
+    def test_unread_bad_sweep_value_still_loads(self, mode):
+        # only a sweep builds its points; other modes never read sweep.values
+        config = load_config(None, {"run.mode": mode, "sweep.values": [-25]})
+        assert config.sweep_values == (-25.0,)
 
     @pytest.mark.parametrize("algorithms", ["all-met,all-met", ""])
     def test_repeated_or_empty_algorithms_exit_before_any_trial(
@@ -391,6 +415,48 @@ class TestLongterm:
         assert rows[0]["stage"] == "training"
         assert rows[0]["status"] == "MaxIterations"
         assert rows[0]["termination"] == "NotConverged"
+
+    def test_summary_skips_a_trial_whose_training_failed(self, monkeypatch):
+        config = load_config(None, {
+            "run.mode": "longterm", "topology.n_it": 3, "topology.n_et": 3, "run.n_trials": 3,
+            "run.seed": 11, "run.q_training": 2, "run.q_longterm": 3,
+        })
+        real = longterm_module.ALGORITHMS["alg2"]
+        calls = []
+
+        def second_trial_unsolved(instance):
+            calls.append(instance)
+            if len(calls) > config.q_training * 2 or len(calls) <= config.q_training:
+                return real(instance)
+            n_et = instance.topology.n_et
+            return division_module._single_result(
+                GroupDivision.all_met(n_et),
+                unsolved_report(instance.topology.n_rrh, sdp_module.SdpStatus.MAX_ITERATIONS),
+            )
+
+        monkeypatch.setitem(longterm_module.ALGORITHMS, "alg2", second_trial_unsolved)
+        rows, summary = cli.run_longterm(config)
+        training = {r["trial"]: r for r in rows if r["stage"] == "training"}
+        assert [training[t]["status"] for t in "012"] == ["Optimal", "MaxIterations", "Optimal"]
+        assert training["1"]["termination"] == "NotConverged"
+        assert training["1"]["division_bitmask"] == training["1"]["iterations"] == ""
+        stage = [r for r in rows if r["stage"] == "longterm"]
+        assert {r["trial"] for r in stage} == {"0", "2"}
+
+        expected = ["long-term cumulative consumption (mean over trials, mW):"]
+        for variant in cli.LONGTERM_VARIANTS:
+            mine = [r for r in stage if r["algorithm"] == variant]
+            per_trial = [
+                sum(float(r["objective_mw"]) for r in mine if r["trial"] == t and r["status"] == "Optimal")
+                for t in ("0", "2")
+            ]
+            infeasible = sum(r["status"] == "Infeasible" for r in mine)
+            unsolved = sum(r["status"] not in ("Optimal", "Infeasible") for r in mine)
+            expected.append(
+                f"  {variant}: cumulative {sum(per_trial) / 2:.4f} after {config.q_longterm} slots, "
+                f"slot infeasibility rate {infeasible / len(mine):.3f}, {unsolved} unsolved slots"
+            )
+        assert summary == expected
 
 
 class TestAlgorithmNames:

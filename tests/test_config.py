@@ -215,7 +215,9 @@ class TestConfigHashPerMode:
     READ = {
         "single-slot": {"run.algorithms": "all-met", "run.seed": 1, "system.p_amin_dbm": -15,
                         "topology.n_et": 5},
-        "sweep": {"run.algorithms": "all-met", "sweep.param": "p_fmin_dbm", "sweep.values": [-21]},
+        # a sweep refuses points outside p_fmin <= p_amin: the default values
+        # as p_fmin reach -15 dBm, above p_amin, and -21 dBm as p_amin is below p_fmin
+        "sweep": {"run.algorithms": "all-met", "sweep.param": "noise_power_dbm", "sweep.values": [-19]},
         "longterm": {"run.q_training": 3, "run.q_longterm": 7, "run.threshold": 0.25,
                      "run.training_algorithm": "alg1", "run.n_trials": 5},
     }

@@ -96,9 +96,10 @@ class TestChannelCheck:
         out = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS)
         assert out.fet_set == {0}
 
-    def test_factor_zero_disables_demotion(self):
+    def test_factor_zero_disables_demotion(self, monkeypatch):
+        monkeypatch.setattr(division_module, "POOR_CHANNEL_FACTOR", 0.0)
         topo, ch = self._two_cell(np.zeros((2, 1), dtype=complex))
-        out = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS, poor_channel_factor=0.0)
+        out = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS)
         assert out.met_set == {0}
 
     def test_never_promotes_fets(self):
@@ -106,24 +107,24 @@ class TestChannelCheck:
         out = channel_check(topo, ch, GroupDivision.all_fet(1), PARAMS)
         assert out.fet_set == {0}
 
-    def test_threshold_scales_with_factor(self):
+    def test_threshold_scales_with_factor(self, monkeypatch):
         mean_amp = 4.0 ** (-PARAMS.alpha_abs / 2.0)
         weak = np.array([[0.1 * mean_amp], [0.0]], dtype=complex)  # gain 1% of mean
         topo, ch = self._two_cell(weak)
         default = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS)
-        lenient = channel_check(
-            topo, ch, GroupDivision.all_met(1), PARAMS, poor_channel_factor=0.005
-        )
+        monkeypatch.setattr(division_module, "POOR_CHANNEL_FACTOR", 0.005)
+        lenient = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS)
         assert default.fet_set == {0}
         assert lenient.met_set == {0}
 
 
 class TestBoundaryRefine:
-    def test_zero_band_is_identity(self):
+    def test_zero_band_is_identity(self, monkeypatch):
+        monkeypatch.setattr(division_module, "BOUNDARY_BAND", 0.0)
         inst = _instance(11)
         division = GroupDivision.all_met(7)
         ranges = np.full(3, 50.0)
-        out = boundary_refine(inst, division, ranges, boundary_band=0.0)
+        out = boundary_refine(inst, division, ranges)
         assert out == division
 
     def test_far_from_boundary_is_untouched(self):
@@ -177,10 +178,14 @@ class TestUpdateDivision:
 class TestIterateSeam:
     G = [GroupDivision.from_bitmask(m, 3) for m in range(8)]
 
+    @pytest.fixture(autouse=True)
+    def _cap(self, monkeypatch):
+        monkeypatch.setattr(division_module, "MAX_DIVISION_ITERS", 50)
+
     def test_fixed_point_shape(self):
         g0, g1 = self.G[0], self.G[1]
         update = _scripted({g0: g1, g1: g1}, {g0: 5.0, g1: 4.0})
-        res = _iterate(g0, update, max_iters=50)
+        res = _iterate(g0, update)
         assert res.termination is Termination.FIXED_POINT
         assert res.final_division == g1
         assert res.iterations == 2
@@ -190,7 +195,7 @@ class TestIterateSeam:
     def test_cycle_returns_cheapest_member(self):
         g0, g1, g2 = self.G[0], self.G[1], self.G[2]
         update = _scripted({g0: g1, g1: g2, g2: g1}, {g0: 9.0, g1: 7.0, g2: 3.0})
-        res = _iterate(g0, update, max_iters=50)
+        res = _iterate(g0, update)
         assert res.termination is Termination.CYCLE_BROKEN
         assert res.final_division == g2
         assert res.report.objective == 3.0
@@ -201,7 +206,7 @@ class TestIterateSeam:
     def test_first_round_infeasible(self):
         g0 = self.G[0]
         update = _scripted({g0: None}, {})
-        res = _iterate(g0, update, max_iters=50)
+        res = _iterate(g0, update)
         assert res.termination is Termination.INFEASIBLE
         assert res.final_division == g0
         assert not res.report.feasible
@@ -212,7 +217,7 @@ class TestIterateSeam:
     def test_mid_run_infeasible_reverts(self):
         g0, g1 = self.G[0], self.G[1]
         update = _scripted({g0: g1, g1: None}, {g0: 6.0})
-        res = _iterate(g0, update, max_iters=50)
+        res = _iterate(g0, update)
         assert res.termination is Termination.INFEASIBLE_REVERTED
         assert res.final_division == g0
         assert res.report.objective == 6.0
@@ -226,27 +231,23 @@ class TestIterateSeam:
                 return None, unsolved_report(3, SdpStatus.MAX_ITERATIONS)
             return g1, _fake_report(6.0)
 
-        res = _iterate(g0, update, max_iters=50)
+        res = _iterate(g0, update)
         assert res.termination is Termination.NOT_CONVERGED
         assert res.final_division == g0
         assert res.report.feasible
         assert res.history == ((g0, 6.0),)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(division_module, "MAX_DIVISION_ITERS", 4)
         order = self.G[:6]
         transitions = {g: order[k + 1] for k, g in enumerate(order[:-1])}
         objectives = {g: float(k) for k, g in enumerate(order)}
         update = _scripted(transitions, objectives)
-        res = _iterate(order[0], update, max_iters=4)
+        res = _iterate(order[0], update)
         assert res.termination is Termination.ITERATION_CAP
         assert res.iterations == 4
         assert len(res.history) == 4
         assert res.final_division == order[3]
-
-    def test_rejects_a_cap_below_one_round(self):
-        g0 = self.G[0]
-        with pytest.raises(ValueError):
-            _iterate(g0, _scripted({g0: g0}, {g0: 1.0}), max_iters=0)
 
 
 class TestAlgorithms:

@@ -39,6 +39,8 @@ def measure(size: int, repeat: int) -> dict:
         topology, derived_seed(config.seed, 0, 2), q_training=config.q_training,
         threshold=config.threshold, params=config.params, algorithm=config.training_algorithm,
     )
+    if not training.feasible:
+        raise SystemExit(f"training of trial 0 ended {training.status.value}; nothing to freeze")
     divisions = [training.frozen_division, GroupDivision.all_fet(config.n_et),
                  GroupDivision.all_met(config.n_et)]
     n_solves = len(divisions) * config.q_longterm
