@@ -14,18 +14,12 @@ Recovered beamformers are in the instance units (amplitudes in sqrt-mW);
 use `BeamformerSet.scaled(1e-3)` for watt-scale amplitudes.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .sdp import (
-    SdpConstraint,
-    SdpProblem,
-    SdpSolution,
-    SdpStatus,
-    solve,
-    solve_batch,
-)
+from .sdp import SdpConstraint, SdpProblem, SdpSolution, SdpStatus, solve
 from .topology import D_MIN_M, assigned_rrh
 
 MW_PER_W = 1e3
@@ -58,6 +52,9 @@ class SystemParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p_en", tuple(float(p) for p in self.p_en))
+        for f in fields(self):
+            if not all(map(math.isfinite, np.atleast_1d(getattr(self, f.name)))):
+                raise ValueError(f"{f.name} must be finite")
         if not self.sinr_min > 0:
             raise ValueError("sinr_min must be positive")
         if not (0 <= self.p_fmin <= self.p_amin):
@@ -296,7 +293,7 @@ def recover_beamformers(solution: SdpSolution, problem: SdpProblem) -> Beamforme
     if solution.status is not SdpStatus.OPTIMAL:
         raise ValueError("recovery requires an Optimal solution")
 
-    eig_beams, needs_random = [], []
+    eig_beams, factors = [], {}
     for b, w in enumerate(solution.block_values):
         lam, vec = np.linalg.eigh((w + w.conj().T) / 2)
         lam = np.clip(lam, 0.0, None)
@@ -306,19 +303,14 @@ def recover_beamformers(solution: SdpSolution, problem: SdpProblem) -> Beamforme
             continue
         eig_beams.append(np.sqrt(lam[-1]) * vec[:, -1])
         if lam[-1] < (1 - RANK_TOL) * trace:
-            needs_random.append(b)
+            factors[b] = vec * np.sqrt(lam)
 
     finish = _candidate_finish(problem, eig_beams)
-    if not needs_random and finish is not None:
+    if not factors and finish is not None:
         scale, _, _ = finish
         return BeamformerSet(np.column_stack(eig_beams) * np.sqrt(scale))
 
     rng = np.random.default_rng(_RANDOMIZATION_SEED)
-    factors = {}
-    for b in needs_random:
-        w = solution.block_values[b]
-        lam, vec = np.linalg.eigh((w + w.conj().T) / 2)
-        factors[b] = vec * np.sqrt(np.clip(lam, 0.0, None))
 
     best = None
     if finish is not None:
@@ -380,14 +372,16 @@ def initial_green_range(params: SystemParams) -> np.ndarray:
 def power_report(source, params: SystemParams) -> PowerReport:
     """Summarize per-RRH powers from an SDP solution or a beamformer set.
 
-    `source` is either an Optimal `SdpSolution` (blocks in mW) or a
-    `BeamformerSet` in watt-scale amplitudes.
+    `source` is either an `SdpSolution` (blocks in mW) or a `BeamformerSet`
+    in watt-scale amplitudes.  A solution with a status other than Optimal
+    gives its `unsolved_report`, so a solve that ran out of iterations is
+    never reported as infeasible.
     """
     if isinstance(source, BeamformerSet):
         p_op = np.sum(np.abs(source.omega) ** 2, axis=1)
     elif isinstance(source, SdpSolution):
         if source.status is not SdpStatus.OPTIMAL:
-            raise ValueError("power_report requires an Optimal solution")
+            return unsolved_report(len(params.p_en), source.status)
         n_rrh = source.block_values[0].shape[0]
         p_op = np.zeros(n_rrh)
         for w in source.block_values:
@@ -419,15 +413,6 @@ def unsolved_report(n_rrh: int, status: SdpStatus) -> PowerReport:
     )
 
 
-def _division_report(topology, solution: SdpSolution, params: SystemParams) -> PowerReport:
-    """The power report of an Optimal solve, else a NaN report carrying the
-    solver's status, so a solve that ran out of iterations is never reported
-    as infeasible."""
-    if solution.status is SdpStatus.OPTIMAL:
-        return power_report(solution, params)
-    return unsolved_report(topology.n_rrh, solution.status)
-
-
 def solve_division(
     topology,
     channels,
@@ -440,16 +425,4 @@ def solve_division(
     if problem is None:
         problem = build_sdp(topology, channels, division, params)
     solution = solve(problem)
-    return _division_report(topology, solution, params), solution
-
-
-def solve_division_batch(topology, requests, params: SystemParams) -> list[PowerReport]:
-    """Solve each (channels, division) pair of the iterable `requests` as
-    one `solve_batch`, which builds the SDPs a batch at a time.
-
-    Every division of one topology gives the same SDP structure, so the
-    pairs may mix divisions.  Report i equals the report `solve_division`
-    gives for the i-th pair.
-    """
-    problems = (build_sdp(topology, channels, division, params) for channels, division in requests)
-    return [_division_report(topology, sol, params) for sol in solve_batch(problems)]
+    return power_report(solution, params), solution

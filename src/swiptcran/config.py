@@ -8,6 +8,7 @@ an explicit `_dbm` suffix; x dBm converts as 10^(x/10) mW.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .beamform import SystemParams
@@ -33,7 +34,10 @@ class ConfigError(ValueError):
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) / 1e3
+    try:
+        return 10.0 ** (float(dbm) / 10.0) / 1e3
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{dbm!r} dBm has no value in watts") from exc
 
 
 @dataclass(frozen=True)
@@ -70,8 +74,8 @@ class ExperimentConfig:
             raise ConfigError(f"run.algorithms must be nonempty without repeats, got {self.algorithms!r}")
         if self.n_rrh < 1 or self.n_it < 1 or self.n_et < 0:
             raise ConfigError("topology counts out of range")
-        if not self.inter_rrh_distance > 0:
-            raise ConfigError("topology.inter_rrh_distance must be positive")
+        if not 0 < self.inter_rrh_distance < math.inf:
+            raise ConfigError("topology.inter_rrh_distance must be positive and finite")
         if len(self.params.p_en) != self.n_rrh:
             raise ConfigError("system.p_en length must equal topology.n_rrh")
         if self.n_trials < 1:
@@ -178,7 +182,10 @@ def build_config(entries: dict[str, object]) -> ExperimentConfig:
             if name.endswith("_dbm"):
                 if base not in _DBM_KEYS:
                     raise ConfigError(f"{key!r}: dBm form not supported for this field")
-                value = dbm_to_watts(float(value))
+                try:
+                    value = dbm_to_watts(value)
+                except ConfigError as exc:
+                    raise ConfigError(f"{key!r}: {exc}") from exc
             if base == "p_en":
                 value = _float_tuple(key, value)
             system[base] = value

@@ -21,8 +21,8 @@ from .beamform import (
     GroupDivision,
     PowerReport,
     SystemParams,
-    _division_report,
     initial_green_range,
+    power_report,
     solve_division,
     unsolved_report,
 )
@@ -103,7 +103,7 @@ class Instance:
         key = solve_key(problem)
         if key in self.store:
             solution = self.store[key]
-            answer = _division_report(self.topology, solution, self.params), solution
+            answer = power_report(solution, self.params), solution
         else:
             answer = solve_division(self.topology, self.channels, division, self.params, problem)
             self.store[key] = answer[1]
@@ -147,6 +147,17 @@ def channel_check(
     return GroupDivision(division.n_et, fet)
 
 
+def _cheapest(candidates) -> tuple[GroupDivision, PowerReport] | None:
+    """The first (division, report) pair of least objective among those
+    that solved, or None if none solved.  Callers list the candidates in
+    their order of preference, so a tie goes to the earlier one."""
+    best = None
+    for division, report in candidates:
+        if report.feasible and (best is None or report.objective < best[1].objective):
+            best = (division, report)
+    return best
+
+
 def boundary_refine(instance: Instance, division: GroupDivision, ranges) -> GroupDivision:
     """Re-decide ETs within `BOUNDARY_BAND` (relative) of their RRH's range.
 
@@ -165,17 +176,15 @@ def boundary_refine(instance: Instance, division: GroupDivision, ranges) -> Grou
         as_fet = GroupDivision(division.n_et, fet | {j})
         rep_met, _ = instance.evaluate(as_met)
         rep_fet, _ = instance.evaluate(as_fet)
-        if not rep_met.feasible and not rep_fet.feasible:
+        best = _cheapest([(as_fet, rep_fet), (as_met, rep_met)])
+        if best is None:
             if rep_met.status is rep_fet.status is SdpStatus.INFEASIBLE:
                 why = "infeasible both ways"
             else:
                 why = f"unsolved ({rep_met.status.value} as MET, {rep_fet.status.value} as FET)"
             _log.warning("boundary ET %d %s; keeping assignment", j, why)
             continue
-        if rep_fet.feasible and (not rep_met.feasible or rep_fet.objective <= rep_met.objective):
-            fet.add(j)
-        else:
-            fet.discard(j)
+        fet = set(best[0].fet_set)
     return GroupDivision(division.n_et, fet)
 
 
@@ -246,7 +255,7 @@ def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
         seen = [g for g, _ in rounds]
         if nxt in seen:
             start = seen.index(nxt)
-            best = min(rounds[start:], key=lambda gr: gr[1].objective)
+            best = _cheapest(rounds[start:])
             return result(*best, Termination.CYCLE_BROKEN, (nxt, rounds[start][1].objective))
         group = nxt
     return result(*rounds[-1], Termination.ITERATION_CAP)
@@ -282,22 +291,16 @@ def brute_force(instance: Instance) -> DivisionRunResult:
     n_et = instance.topology.n_et
     if n_et > BRUTE_FORCE_CAP:
         raise ValueError(f"{n_et} ETs exceed the brute force cap of {BRUTE_FORCE_CAP}")
-    best: tuple[GroupDivision, PowerReport] | None = None
-    unsolved = None
-    for mask in range(1 << n_et):
-        division = GroupDivision.from_bitmask(mask, n_et)
-        report, _ = instance.evaluate(division)
-        if not report.feasible:
-            if report.status is not SdpStatus.INFEASIBLE:
-                unsolved = unsolved or report.status
-        elif best is None or report.objective < best[1].objective:
-            best = (division, report)
+    divisions = (GroupDivision.from_bitmask(mask, n_et) for mask in range(1 << n_et))
+    tried = [(division, instance.evaluate(division)[0]) for division in divisions]
+    unsolved = [r.status for _, r in tried if r.status not in (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE)]
+    best = _cheapest(tried)
     if best is None:
-        status = unsolved or SdpStatus.INFEASIBLE
+        status = unsolved[0] if unsolved else SdpStatus.INFEASIBLE
         return _single_result(
             GroupDivision.all_met(n_et), unsolved_report(instance.topology.n_rrh, status)
         )
-    termination = Termination.FIXED_POINT if unsolved is None else Termination.NOT_CONVERGED
+    termination = Termination.NOT_CONVERGED if unsolved else Termination.FIXED_POINT
     return _single_result(*best, termination)
 
 

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sdp
+from . import beamform, sdp
 
-# the stage no longer calls solve_division, but perfbench/tracing.py wraps
+# the stage calls no solve_division, but perfbench/tracing.py wraps
 # longterm.solve_division, so the name stays a module attribute
 from .beamform import (  # noqa: F401
     GroupDivision,
     PowerReport,
     SystemParams,
+    power_report,
     solve_division,
-    solve_division_batch,
 )
 from .division import DivisionRunResult, Instance, algorithm1, algorithm2
 from .sdp import SdpStatus
@@ -147,12 +147,18 @@ def longterm_stage(
     for division in distinct:
         division.validate_for(topology.n_et)
     draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
-    requests = ((mask_fet_channels(ch, division), division) for division in distinct for ch in draws)
+    # built through the module attribute, which the benchmark's tracer wraps
+    problems = (
+        beamform.build_sdp(topology, mask_fet_channels(ch, division), division, params)
+        for division in distinct
+        for ch in draws
+    )
     n = len(distinct) * q_longterm
     chunks = -(-n // sdp.BATCH_SIZE)
     reports = []
     for i in range(chunks):
         size = (i + 1) * n // chunks - i * n // chunks
-        reports += solve_division_batch(topology, itertools.islice(requests, size), params)
+        batch = sdp.solve_batch(itertools.islice(problems, size))
+        reports += [power_report(solution, params) for solution in batch]
     by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
     return [by_division[d] for d in divisions]

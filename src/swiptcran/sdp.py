@@ -81,12 +81,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy._core._multiarray_umath import c_einsum
 from numpy.linalg import _umath_linalg
-
-try:
-    from numpy._core._multiarray_umath import c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import c_einsum
 
 _SENSES = (">=", "<=", "=")
 _HERM_TOL = 1e-10

@@ -1,5 +1,8 @@
 """Tests for SDP assembly, beam recovery, and power/range accounting."""
 
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -71,6 +74,15 @@ class TestSystemParams:
     def test_rejects_negative_green_supply(self):
         with pytest.raises(ValueError):
             SystemParams(p_en=(2.0, -1.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [(f.name, math.inf) for f in fields(SystemParams) if f.name != "p_en"]
+        + [("p_amin", math.nan), ("p_en", (math.nan, 2.5, 3.0)), ("p_en", (2.0, math.inf, 3.0))],
+    )
+    def test_rejects_non_finite_field(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SystemParams(**{name: value})
 
 
 class TestGroupDivision:
@@ -373,19 +385,26 @@ class TestPowerAccounting:
         report, solution = solve_division(topo, ch, GroupDivision.all_met(7), PARAMS)
         assert report.objective == pytest.approx(solution.objective_value, rel=1e-6)
 
-    def test_rejects_non_optimal_solution(self):
+    @pytest.mark.parametrize("status", [SdpStatus.INFEASIBLE, SdpStatus.MAX_ITERATIONS])
+    def test_non_optimal_solution_gives_unsolved_report(self, status):
         sol = SdpSolution(
             block_values=[np.eye(3, dtype=complex)],
             scalar_values=np.zeros(3),
             objective_value=0.0,
-            status=SdpStatus.INFEASIBLE,
+            status=status,
             primal_residual=1.0,
             dual_residual=1.0,
             duality_gap=1.0,
             iterations=0,
         )
-        with pytest.raises(ValueError):
-            power_report(sol, PARAMS)
+        report = power_report(sol, PARAMS)
+        expected = unsolved_report(len(PARAMS.p_en), status)
+        assert report.status is expected.status is status
+        assert not report.feasible
+        for name in ("p_op", "p_pu", "ranges"):
+            np.testing.assert_array_equal(getattr(report, name), getattr(expected, name))
+            assert np.all(np.isnan(getattr(report, name)))
+        assert np.isnan(report.objective) and np.isnan(expected.objective)
 
     def test_rejects_unknown_source(self):
         with pytest.raises(TypeError):

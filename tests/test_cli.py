@@ -135,6 +135,17 @@ class TestMainSingleSlot:
     BAD_VALUES = {
         "topology.inter_rrh_distance = -1": "inter_rrh_distance must be positive",
         "run.threshold = 1.5": "run.threshold must lie in [0, 1]",
+        # non-finite values would crash a trial or run every solve on nonsense
+        "topology.inter_rrh_distance = Infinity": "inter_rrh_distance must be positive and finite",
+        "system.p_en = [NaN, 2.5, 3.0]": "p_en must be finite",
+        "system.noise_power = Infinity": "noise_power must be finite",
+        "system.beta = Infinity": "beta must be finite",
+        "system.sinr_min = Infinity": "sinr_min must be finite",
+        "system.alpha_abs = Infinity": "alpha_abs must be finite",
+        # dBm values with no finite power in watts
+        'system.p_amin_dbm = "abc"': "'system.p_amin_dbm'",
+        "system.p_amin_dbm = [1, 2]": "'system.p_amin_dbm'",
+        "system.p_amin_dbm = 4000": "'system.p_amin_dbm'",
     }
 
     @pytest.mark.parametrize("line", BAD_VALUES)
@@ -149,7 +160,13 @@ class TestMainSingleSlot:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "param, value", [("p_amin_dbm", -25), ("p_fmin_dbm", -10)]  # below p_fmin, above p_amin
+        "param, value",
+        [
+            ("p_amin_dbm", -25),  # below p_fmin
+            ("p_fmin_dbm", -10),  # above p_amin
+            ("p_amin_dbm", "Infinity"),
+            ("p_amin_dbm", 4000),  # overflows in watts
+        ],
     )
     def test_bad_sweep_value_exits_before_any_trial(self, tmp_path, capsys, param, value):
         path = tmp_path / "bad.conf"

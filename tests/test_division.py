@@ -21,6 +21,7 @@ from swiptcran.division import (
     DivisionRunResult,
     Instance,
     Termination,
+    _cheapest,
     _iterate,
     algorithm1,
     algorithm2,
@@ -116,6 +117,28 @@ class TestChannelCheck:
         lenient = channel_check(topo, ch, GroupDivision.all_met(1), PARAMS)
         assert default.fet_set == {0}
         assert lenient.met_set == {0}
+
+
+class TestCheapest:
+    A, B, C = (GroupDivision.from_bitmask(m, 3) for m in (1, 2, 4))
+
+    def test_least_objective_wins(self):
+        assert _cheapest([(self.A, _fake_report(2.0)), (self.B, _fake_report(1.0))])[0] == self.B
+
+    def test_tie_goes_to_the_earlier_candidate(self):
+        for first, second in ((self.A, self.B), (self.B, self.A)):
+            best = _cheapest([(first, _fake_report(1.0)), (second, _fake_report(1.0))])
+            assert best[0] == first
+
+    def test_unsolved_candidates_are_skipped(self):
+        candidates = [
+            (self.A, unsolved_report(3, SdpStatus.MAX_ITERATIONS)),
+            (self.B, unsolved_report(3, SdpStatus.INFEASIBLE)),
+            (self.C, _fake_report(5.0)),
+        ]
+        assert _cheapest(candidates)[0] == self.C
+        assert _cheapest(candidates[:2]) is None
+        assert _cheapest([]) is None
 
 
 class TestBoundaryRefine:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swiptcran import beamform
+from swiptcran import beamform, sdp
 from swiptcran.beamform import (
     GroupDivision,
     PowerReport,
@@ -257,7 +257,7 @@ class TestLongtermStage:
     def test_stage_batches_are_near_equal_and_built_one_at_a_time(self, monkeypatch):
         # 3 divisions x 50 slots = 150 problems: 3 batches of 50, not 64 + 64 + 22,
         # and no problem of a batch is built before the batch ahead of it is solved
-        solve_batch, build_sdp = beamform.solve_batch, beamform.build_sdp
+        solve_batch, build_sdp = sdp.solve_batch, beamform.build_sdp
         built, sizes = [0], []
 
         def counted_build(*args):
@@ -271,7 +271,7 @@ class TestLongtermStage:
             return solve_batch(problems)
 
         monkeypatch.setattr(beamform, "build_sdp", counted_build)
-        monkeypatch.setattr(beamform, "solve_batch", watched_batch)
+        monkeypatch.setattr(sdp, "solve_batch", watched_batch)
         topo = generate_topology(seed=3, n_rrh=3, n_it=3, n_et=5)
         divisions = [GroupDivision(5, frozenset({1, 4})), GroupDivision.all_met(5), GroupDivision.all_fet(5)]
         stage = longterm_stage(topo, seed=8, divisions=divisions, q_longterm=50)

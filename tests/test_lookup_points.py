@@ -61,3 +61,5 @@ def test_every_division_span_is_recorded(tmp_path):
     assert builds
     assert all(parent.startswith("division.") for parent in builds)
     assert ["division.alg2", "longterm.training_stage"] in spans["longterm"]
+    # the long-term stage builds its slot problems through the traced builder
+    assert ["beamform.build_sdp", "longterm.longterm_stage"] in spans["longterm"]

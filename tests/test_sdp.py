@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-try:
-    from numpy._core import einsumfunc
-except ImportError:  # numpy < 2
-    from numpy.core import einsumfunc
+from numpy._core import einsumfunc
 
 from oracles import mixed_outcome_batch, oracle_instance
 from swiptcran import sdp as sdp_module
