@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-
 from numpy._core import einsumfunc
 
 from oracles import mixed_outcome_batch, oracle_instance
