@@ -228,10 +228,10 @@ def build_sdp(topology, channels, division: GroupDivision, params: SystemParams)
 def _candidate_finish(problem, beams, tol=1e-9):
     """Scale beams by a common factor and complete scalars so every row holds.
 
-    Returns (scale, scalar_values, objective) or None when the candidate
-    cannot be repaired. Supports the shape produced by `build_sdp`: ">=" rows
-    touch only blocks, "<=" rows carry at most one scalar with negative
-    coefficient, no "=" rows among randomization-relevant constraints.
+    Returns (scale, scalar_values, objective), or None when the candidate
+    cannot be repaired or a row is not of a shape `build_sdp` makes: ">="
+    rows touch only blocks, "<=" rows carry one scalar with negative
+    coefficient.
     """
     quads = []
     for con in problem.constraints:
@@ -256,23 +256,14 @@ def _candidate_finish(problem, beams, tol=1e-9):
 
     scalars = np.zeros(problem.n_scalars)
     for con, q in zip(problem.constraints, quads):
-        lhs = q * scale
         if con.sense == ">=":
             continue
-        if con.sense == "=":
-            if con.scalars or abs(lhs - con.rhs) > 1e-6 * max(1.0, abs(con.rhs)):
-                return None
-            continue
-        if not con.scalars:
-            if lhs > con.rhs + tol * max(1.0, abs(con.rhs)):
-                return None
-            continue
-        if len(con.scalars) != 1:
+        if con.sense != "<=" or len(con.scalars) != 1:
             return None
         (j, coeff), = con.scalars.items()
         if coeff >= 0:
             return None
-        scalars[j] = max(scalars[j], (lhs - con.rhs) / -coeff)
+        scalars[j] = max(scalars[j], (q * scale - con.rhs) / -coeff)
 
     objective = scale * sum(
         float(np.real(beams[b].conj() @ c @ beams[b]))

@@ -10,7 +10,6 @@ seeds derive from the master seed by counter splitting, making row content
 
 import argparse
 import csv
-import os
 import sys
 import time
 
@@ -295,24 +294,31 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
     return rows, _summarize_longterm(rows, config.q_longterm)
 
 
+def check_output(path: str, config_hash: str) -> None:
+    """Refuse an output that cannot take rows of `config_hash`: one that does
+    not open for append (which creates a missing file), or whose header or
+    first row is of another schema or config.  Reads no further than the
+    first row."""
+    with open(path, "a+", newline="", encoding="utf-8") as fh:
+        fh.seek(0)
+        reader = csv.DictReader(fh)
+        if reader.fieldnames not in (None, list(CSV_COLUMNS)):
+            raise ConfigError(f"{path}: existing file has a different schema")
+        existing = next(reader, None)
+        if existing is not None and existing["config_hash"] != config_hash:
+            raise ConfigError(
+                f"{path}: holds rows for config {existing['config_hash']}, "
+                f"refusing to append config {config_hash}"
+            )
+
+
 def write_rows(path: str, rows: list[dict[str, str]]) -> None:
     """Create or append; appending to a file from another config is refused."""
-    exists = os.path.exists(path) and os.path.getsize(path) > 0
-    if exists and rows:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != list(CSV_COLUMNS):
-                raise ConfigError(f"{path}: existing file has a different schema")
-            for existing in reader:
-                if existing["config_hash"] != rows[0]["config_hash"]:
-                    raise ConfigError(
-                        f"{path}: holds rows for config {existing['config_hash']}, "
-                        f"refusing to append config {rows[0]['config_hash']}"
-                    )
-                break
+    if rows:
+        check_output(path, rows[0]["config_hash"])
     with open(path, "a", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(CSV_COLUMNS))
-        if not exists:
+        if fh.tell() == 0:
             writer.writeheader()
         writer.writerows(rows)
 
@@ -356,8 +362,11 @@ def main(argv: list[str] | None = None) -> int:
         overrides["run.n_trials"] = args.trials
     if args.algorithms is not None:
         overrides["run.algorithms"] = args.algorithms
+    # a bad setting or output is refused before the first trial
     try:
         config = load_config(args.config, overrides)
+        config_hash = config.config_hash()
+        check_output(args.out, config_hash)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -368,12 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         "longterm": run_longterm,
     }[config.mode]
     rows, summary = runner(config)
-    try:
-        write_rows(args.out, rows)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {len(rows)} rows to {args.out} (config {config.config_hash()})")
+    write_rows(args.out, rows)
+    print(f"wrote {len(rows)} rows to {args.out} (config {config_hash})")
     for line in summary:
         print(line)
     return 0

@@ -2,14 +2,20 @@
 
 Config files are plain text, one `section.key = value` per line, `#`
 comments allowed.  Values are JSON literals where they parse as such
-(numbers, lists, booleans) and bare strings otherwise.  Power keys may use
-an explicit `_dbm` suffix; x dBm converts as 10^(x/10) mW.
+(numbers, lists, booleans) and bare strings otherwise.  The `system.*` keys
+are the `SystemParams` field names; `KEYS` declares every other key, with
+its `ExperimentConfig` field and the modes that read it.  A value is checked
+against its field's type, not converted, and a wrong type is a
+`ConfigError` naming the key; a bool is not a number.  A tuple field takes
+a JSON list, a comma-separated string or one scalar.  The powers in
+`DBM_FIELDS` may be given with a `_dbm` suffix instead; x dBm converts as
+10^(x/10) mW.
 """
 
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .beamform import SystemParams
 from .division import BRUTE_FORCE_CAP
@@ -18,15 +24,27 @@ from .longterm import ALGORITHMS, DIVISION_THRESHOLD, Q_TRAINING
 # the run modes; the `validate` subcommand reads no config
 MODES = ("single-slot", "sweep", "longterm")
 ALGORITHM_CHOICES = ("alg1", "alg2", "all-fet", "all-met", "brute")
-_COUNT_FIELDS = ("n_rrh", "n_it", "n_et", "seed", "n_trials", "q_training", "q_longterm")
-_LONGTERM_FIELDS = ("q_training", "q_longterm", "threshold", "training_algorithm")
-_SWEEP_FIELDS = ("sweep_param", "sweep_values")
-# settings a mode never reads, left out of its config hash
-_UNREAD = {
-    "single-slot": _LONGTERM_FIELDS + _SWEEP_FIELDS,
-    "sweep": _LONGTERM_FIELDS,
-    "longterm": ("algorithms",) + _SWEEP_FIELDS,
+# the powers with a `_dbm` form, which are also the parameters a sweep may set
+DBM_FIELDS = ("p_amin", "p_fmin", "noise_power")
+# every key outside `system.*`: its ExperimentConfig field and the modes that
+# read it; a mode's config hash covers only what it reads
+KEYS = {
+    "topology.n_rrh": ("n_rrh", MODES),
+    "topology.n_it": ("n_it", MODES),
+    "topology.n_et": ("n_et", MODES),
+    "topology.inter_rrh_distance": ("inter_rrh_distance", MODES),
+    "run.mode": ("mode", MODES),
+    "run.seed": ("seed", MODES),
+    "run.n_trials": ("n_trials", MODES),
+    "run.algorithms": ("algorithms", ("single-slot", "sweep")),
+    "run.q_training": ("q_training", ("longterm",)),
+    "run.q_longterm": ("q_longterm", ("longterm",)),
+    "run.threshold": ("threshold", ("longterm",)),
+    "run.training_algorithm": ("training_algorithm", ("longterm",)),
+    "sweep.param": ("sweep_param", ("sweep",)),
+    "sweep.values": ("sweep_values", ("sweep",)),
 }
+_EXPECTED = {int: "an integer", float: "a number", str: "a string"}
 
 
 class ConfigError(ValueError):
@@ -35,9 +53,36 @@ class ConfigError(ValueError):
 
 def dbm_to_watts(dbm: float) -> float:
     try:
-        return 10.0 ** (float(dbm) / 10.0) / 1e3
-    except (TypeError, ValueError, OverflowError) as exc:
+        return 10.0 ** (dbm / 10.0) / 1e3
+    except OverflowError as exc:
         raise ConfigError(f"{dbm!r} dBm has no value in watts") from exc
+
+
+def _literal(text: str) -> object:
+    """The JSON literal `text` parses as, else `text` itself."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def _checked(key: str, value: object, kind) -> object:
+    """`value` if it has the field type `kind`, else a ConfigError naming `key`.
+
+    A scalar passes unconverted, so an int stays an int.  A tuple field takes
+    a list, a comma-separated string or one scalar, and its numbers become
+    floats.
+    """
+    if getattr(kind, "__origin__", None) is tuple:
+        item = kind.__args__[0]
+        if isinstance(value, str):
+            value = [_literal(v.strip()) for v in value.split(",") if v.strip()]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        return tuple(item(_checked(key, v, item)) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"{key!r}: expected {_EXPECTED[kind]}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -61,10 +106,9 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = (-20.0, -18.0, -17.0, -15.0)
 
     def __post_init__(self):
-        for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        kinds = {f.name: f.type for f in fields(self)}
+        for key, (name, _) in KEYS.items():
+            object.__setattr__(self, name, _checked(key, getattr(self, name), kinds[name]))
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         for a in self.algorithms:
@@ -86,7 +130,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"brute force requested with {self.n_et} ETs; cap is {BRUTE_FORCE_CAP}"
             )
-        if self.sweep_param.removesuffix("_dbm") not in ("p_amin", "p_fmin", "noise_power"):
+        if self.sweep_param.removesuffix("_dbm") not in DBM_FIELDS:
             raise ConfigError(f"unsupported sweep parameter {self.sweep_param!r}")
         if not self.sweep_values:
             raise ConfigError("sweep.values must be nonempty")
@@ -107,11 +151,8 @@ class ExperimentConfig:
         """Stable digest of every resolved setting the mode reads; stamped on
         each CSV row, so runs that differ only in a setting their mode
         ignores share a hash and may share a CSV."""
-        blob = {"params": {f.name: getattr(self.params, f.name) for f in fields(self.params)}}
-        for f in fields(self):
-            if f.name == "params" or f.name in _UNREAD[self.mode]:
-                continue
-            blob[f.name] = getattr(self, f.name)
+        blob = {name: getattr(self, name) for name, modes in KEYS.values() if self.mode in modes}
+        blob["params"] = asdict(self.params)
         canon = json.dumps(blob, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
@@ -120,9 +161,7 @@ class ExperimentConfig:
         name = self.sweep_param
         if name.endswith("_dbm"):
             name, value = name.removesuffix("_dbm"), dbm_to_watts(value)
-        kwargs = {f.name: getattr(self.params, f.name) for f in fields(self.params)}
-        kwargs[name] = value
-        return SystemParams(**kwargs)
+        return replace(self.params, **{name: value})
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -139,81 +178,40 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: keys must be dotted, got {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            out[key] = json.loads(value)
-        except json.JSONDecodeError:
-            out[key] = value
+        out[key] = _literal(value)
     return out
 
 
-_SYSTEM_KEYS = {f.name for f in fields(SystemParams)}
-_DBM_KEYS = {"p_amin", "p_fmin", "noise_power"}
-_TOPOLOGY_KEYS = {"n_rrh", "n_it", "n_et", "inter_rrh_distance"}
-_RUN_KEYS = {
-    "mode", "seed", "n_trials", "algorithms", "q_training", "q_longterm",
-    "threshold", "training_algorithm",
-}
-_SWEEP_KEYS = {"param", "values"}
-
-
-def _float_tuple(key: str, value: object) -> tuple[float, ...]:
-    """Coerce a JSON list, comma-separated string, or bare scalar to floats."""
-    if isinstance(value, str):
-        value = [v.strip() for v in value.split(",") if v.strip()]
-    elif not isinstance(value, (list, tuple)):
-        value = [value]
-    try:
-        return tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key!r}: expected numbers, got {value!r}") from exc
+_SYSTEM_TYPES = {f.name: f.type for f in fields(SystemParams)}
+_SECTIONS = {"system"} | {key.partition(".")[0] for key in KEYS}
 
 
 def build_config(entries: dict[str, object]) -> ExperimentConfig:
     """Resolve flat dotted entries into an ExperimentConfig."""
     system: dict[str, object] = {}
     top: dict[str, object] = {}
-
     for key, value in entries.items():
         section, _, name = key.partition(".")
-        if section == "system":
-            base = name.removesuffix("_dbm")
-            if base not in _SYSTEM_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if name.endswith("_dbm"):
-                if base not in _DBM_KEYS:
+        base = name.removesuffix("_dbm")
+        if key in KEYS:
+            top[KEYS[key][0]] = value
+        elif section == "system" and base in _SYSTEM_TYPES:
+            if base != name:
+                if base not in DBM_FIELDS:
                     raise ConfigError(f"{key!r}: dBm form not supported for this field")
+                value = _checked(key, value, float)
                 try:
                     value = dbm_to_watts(value)
                 except ConfigError as exc:
                     raise ConfigError(f"{key!r}: {exc}") from exc
-            if base == "p_en":
-                value = _float_tuple(key, value)
-            system[base] = value
-        elif section == "topology":
-            if name not in _TOPOLOGY_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            top[name] = value
-        elif section == "run":
-            if name not in _RUN_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if name == "algorithms":
-                value = tuple(value) if isinstance(value, list) else tuple(
-                    a.strip() for a in str(value).split(",") if a.strip()
-                )
-            top[name] = value
-        elif section == "sweep":
-            if name not in _SWEEP_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if name == "param":
-                top["sweep_param"] = str(value)
-            else:
-                top["sweep_values"] = _float_tuple(key, value)
+            system[base] = _checked(key, value, _SYSTEM_TYPES[base])
+        elif section in _SECTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
         else:
             raise ConfigError(f"unknown config section {section!r} in {key!r}")
-
     try:
         return ExperimentConfig(params=SystemParams(**system), **top)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc

@@ -206,6 +206,14 @@ def update_division(
     return division, report
 
 
+def _run_result(rounds, termination, *terminal_repeat, final=None) -> DivisionRunResult:
+    """The result of solved `rounds` of (division, report): it ends on `final`,
+    by default the last round, and its history is every round, then the
+    `terminal_repeat` entry if given."""
+    history = tuple((g, r.objective) for g, r in rounds) + terminal_repeat
+    return DivisionRunResult(*(final or rounds[-1]), len(rounds), history, termination)
+
+
 def _single_result(
     division: GroupDivision,
     report: PowerReport,
@@ -213,16 +221,10 @@ def _single_result(
 ) -> DivisionRunResult:
     """A one-round result: `division` with its terminal repeat when `report`
     solved, else a single NaN entry and the failure's termination."""
+    rounds = [(division, report)]
     if not report.feasible:
-        return DivisionRunResult(
-            final_division=division,
-            report=report,
-            iterations=1,
-            history=((division, float("nan")),),
-            termination=Termination.for_failure(report.status),
-        )
-    history = ((division, report.objective), (division, report.objective))
-    return DivisionRunResult(division, report, 1, history, termination)
+        return _run_result(rounds, Termination.for_failure(report.status))
+    return _run_result(rounds, termination, (division, report.objective))
 
 
 def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
@@ -235,11 +237,6 @@ def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
     returns that round's NaN report with the solver's status.
     """
     rounds: list[tuple[GroupDivision, PowerReport]] = []
-
-    def result(group, report, termination, *terminal_repeat) -> DivisionRunResult:
-        history = tuple((g, r.objective) for g, r in rounds) + terminal_repeat
-        return DivisionRunResult(group, report, len(rounds), history, termination)
-
     group = initial
     for _ in range(MAX_DIVISION_ITERS):
         nxt, report = update_fn(group)
@@ -247,18 +244,18 @@ def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
             if not rounds:
                 return _single_result(group, report)
             if report.status is SdpStatus.INFEASIBLE:
-                return result(*rounds[-1], Termination.INFEASIBLE_REVERTED)
-            return result(*rounds[-1], Termination.NOT_CONVERGED)
+                return _run_result(rounds, Termination.INFEASIBLE_REVERTED)
+            return _run_result(rounds, Termination.NOT_CONVERGED)
         rounds.append((group, report))
         if nxt == group:
-            return result(group, report, Termination.FIXED_POINT, (group, report.objective))
+            return _run_result(rounds, Termination.FIXED_POINT, (group, report.objective))
         seen = [g for g, _ in rounds]
         if nxt in seen:
             start = seen.index(nxt)
-            best = _cheapest(rounds[start:])
-            return result(*best, Termination.CYCLE_BROKEN, (nxt, rounds[start][1].objective))
+            repeat = (nxt, rounds[start][1].objective)
+            return _run_result(rounds, Termination.CYCLE_BROKEN, repeat, final=_cheapest(rounds[start:]))
         group = nxt
-    return result(*rounds[-1], Termination.ITERATION_CAP)
+    return _run_result(rounds, Termination.ITERATION_CAP)
 
 
 def _run_iterative(instance: Instance, initial: GroupDivision) -> DivisionRunResult:

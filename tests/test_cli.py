@@ -1,6 +1,7 @@
 """Tests for the command line driver and CSV output discipline."""
 
 import csv
+import os
 
 import pytest
 
@@ -146,6 +147,12 @@ class TestMainSingleSlot:
         'system.p_amin_dbm = "abc"': "'system.p_amin_dbm'",
         "system.p_amin_dbm = [1, 2]": "'system.p_amin_dbm'",
         "system.p_amin_dbm = 4000": "'system.p_amin_dbm'",
+        # a value of the wrong type names its key; a bool is not a number
+        'system.sinr_min = "abc"': "'system.sinr_min': expected a number",
+        'topology.inter_rrh_distance = "abc"': "'topology.inter_rrh_distance': expected a number",
+        "system.eta = [1]": "'system.eta': expected a number",
+        'run.threshold = "abc"': "'run.threshold': expected a number",
+        "system.beta = true": "'system.beta': expected a number",
     }
 
     @pytest.mark.parametrize("line", BAD_VALUES)
@@ -245,6 +252,47 @@ class TestWriteRows:
         path.write_text("first,second\n1,2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="different schema"):
             write_rows(str(path), self._rows(config))
+
+
+class TestOutputCheckedFirst:
+    """An output that cannot take the run's rows is refused before any trial."""
+
+    @pytest.fixture(autouse=True)
+    def _no_trials(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "generate_topology", refused)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (",".join(CSV_COLUMNS) + "\n" + "0" * 12 + ",single-slot" + "," * (len(CSV_COLUMNS) - 2) + "\n",
+             "refusing to append"),
+            ("first,second\n1,2\n", "different schema"),
+        ],
+        ids=["other-config", "other-schema"],
+    )
+    def test_incompatible_csv(self, small_conf, tmp_path, capsys, text, message):
+        out = tmp_path / "o.csv"
+        out.write_text(text, encoding="utf-8")
+        assert main(["single-slot", "--config", small_conf, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and message in err
+        assert "Traceback" not in err
+        assert out.read_text(encoding="utf-8") == text
+
+    def test_missing_directory(self, small_conf, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        assert main(["single-slot", "--config", small_conf, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+
+def test_out_to_devnull_runs(small_conf, capsys):
+    assert main(["single-slot", "--config", small_conf, "--out", os.devnull, "--trials", "1"]) == 0
+    assert f"to {os.devnull}" in capsys.readouterr().out
 
 
 class TestSweep:

@@ -1,11 +1,14 @@
 """Tests for config parsing, dBm handling, validation, and hashing."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from swiptcran.beamform import SystemParams
 from swiptcran.config import (
+    KEYS,
     MODES,
     ConfigError,
     ExperimentConfig,
@@ -185,6 +188,48 @@ class TestBuildConfig:
             build_config({"run.training_algorithm": "all-met"})
 
 
+def _field_type(key: str):
+    if key.startswith("system."):
+        return {f.name: f.type for f in fields(SystemParams)}[key.removeprefix("system.")]
+    return {f.name: f.type for f in fields(ExperimentConfig)}[KEYS[key][0]]
+
+
+# values of the wrong type for each field type; True stands for every bool
+WRONG_VALUES = {
+    int: [2.5, "3", True, None],
+    float: ["abc", [1], True, None],
+    str: [5, ["alg1"], True, None],
+    tuple[str, ...]: [[1], 5, True, {"a": 1}],
+    tuple[float, ...]: [["1"], "low, high", True, {"a": 1}],
+}
+TYPED_KEYS = sorted(KEYS) + [f"system.{f.name}" for f in fields(SystemParams)]
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("key", TYPED_KEYS)
+    def test_wrong_type_names_the_key(self, key):
+        for value in WRONG_VALUES[_field_type(key)]:
+            with pytest.raises(ConfigError, match=re.escape(f"{key!r}: expected")):
+                build_config({key: value})
+
+    @pytest.mark.parametrize("key", ["system.p_amin_dbm", "system.p_fmin_dbm", "system.noise_power_dbm"])
+    def test_dbm_form_wants_a_number(self, key):
+        for value in ("abc", [1], True):
+            with pytest.raises(ConfigError, match=re.escape(f"{key!r}: expected a number")):
+                build_config({key: value})
+
+    def test_values_are_checked_not_converted(self):
+        cfg = build_config({"topology.inter_rrh_distance": 20, "system.beta": 2, "run.threshold": 1})
+        assert type(cfg.inter_rrh_distance) is int and type(cfg.params.beta) is int
+        assert type(cfg.threshold) is int
+
+    def test_direct_construction_checks_types(self):
+        with pytest.raises(ConfigError, match="n_trials"):
+            ExperimentConfig(n_trials=2.5)
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig(seed=True)
+
+
 class TestConfigHash:
     def test_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -237,6 +282,25 @@ class TestConfigHashPerMode:
     def test_modes_hash_apart(self):
         hashes = {build_config({"run.mode": mode}).config_hash() for mode in MODES}
         assert len(hashes) == len(MODES)
+
+
+class TestPinnedHashes:
+    """The hash of each benchmark config in each mode; a change here splits
+    CSVs that earlier runs of the same settings could append to."""
+
+    CONF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "conf"
+    HASHES = {
+        "brute-oracle": ("8cc76fec530a", "84fa701d47f7", "f15a59b6cf6e"),
+        "longterm": ("6217623da31a", "89784aef46f7", "f15a59b6cf6e"),
+        "reference-infeasible": ("1eaddfb2dc06", "620d6b33b6d7", "3dde0ed30a61"),
+        "sweep-heuristics": ("6217623da31a", "89784aef46f7", "f15a59b6cf6e"),
+    }
+
+    @pytest.mark.parametrize("conf", sorted(HASHES))
+    def test_hashes_are_pinned(self, conf):
+        path = str(self.CONF_DIR / f"{conf}.conf")
+        got = tuple(load_config(path, {"run.mode": mode}).config_hash() for mode in MODES)
+        assert got == self.HASHES[conf]
 
 
 class TestSweepParamWatts:
