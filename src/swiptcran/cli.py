@@ -26,6 +26,7 @@ from .division import (
     baseline_all_fet,
     baseline_all_met,
     brute_force,
+    solve_openings,
 )
 from .longterm import longterm_stage, training_stage
 from .topology import draw_channels, generate_topology
@@ -185,14 +186,22 @@ def run_single_slot(config: ExperimentConfig) -> tuple[list[dict[str, str]], lis
 def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]]:
     """Rows in (sweep value, trial) order.  The instances of one draw share
     a solve store, dropped once the draw is done: an SDP no sweep value
-    changes (all-FET under a `p_amin` sweep) is solved once per draw."""
+    changes (all-FET under a `p_amin` sweep) is solved once per draw.
+    Before the draw's first searches, the opening division of every search
+    at every sweep value is solved as one batch into that store
+    (`division.solve_openings`): the first value's trial carries those
+    solves, and a row's `solve_ms` leaves its search's opening out."""
     base = _base_row(config)
     points = [(_fmt(value), config.sweep_param_watts(value)) for value in config.sweep_values]
     per_value = [[] for _ in points]
     for trial in range(config.n_trials):
         store = {}
-        for (label, params), value_rows in zip(points, per_value):
+        for i, ((label, params), value_rows) in enumerate(zip(points, per_value)):
             instance = _trial_instance(config, trial, params, store)
+            if i == 0:
+                # a sweep sets only powers, so every value shares the draw's channels
+                draw = [Instance(instance.topology, instance.channels, p, store) for _, p in points]
+                solve_openings((inst, name) for inst in draw for name in config.algorithms)
             value_rows += _trial_rows(config, base, trial, instance, config.sweep_param, label)
     rows = [row for value_rows in per_value for row in value_rows]
     summary = ["per (algorithm, sweep value) summary:"] + _summarize(
@@ -297,14 +306,17 @@ def run_longterm(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[s
 def check_output(path: str, config_hash: str) -> None:
     """Refuse an output that cannot take rows of `config_hash`: one that does
     not open for append (which creates a missing file), or whose header or
-    first row is of another schema or config.  Reads no further than the
-    first row."""
+    first row is of another schema or config, or is not UTF-8 CSV text.
+    Reads no further than the first row."""
     with open(path, "a+", newline="", encoding="utf-8") as fh:
         fh.seek(0)
         reader = csv.DictReader(fh)
-        if reader.fieldnames not in (None, list(CSV_COLUMNS)):
+        try:
+            fieldnames, existing = reader.fieldnames, next(reader, None)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: existing file does not read as UTF-8 CSV ({exc})") from exc
+        if fieldnames not in (None, list(CSV_COLUMNS)):
             raise ConfigError(f"{path}: existing file has a different schema")
-        existing = next(reader, None)
         if existing is not None and existing["config_hash"] != config_hash:
             raise ConfigError(
                 f"{path}: holds rows for config {existing['config_hash']}, "

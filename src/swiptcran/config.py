@@ -8,8 +8,8 @@ its `ExperimentConfig` field and the modes that read it.  A value is checked
 against its field's type, not converted, and a wrong type is a
 `ConfigError` naming the key; a bool is not a number.  A tuple field takes
 a JSON list, a comma-separated string or one scalar.  The powers in
-`DBM_FIELDS` may be given with a `_dbm` suffix instead; x dBm converts as
-10^(x/10) mW.
+`DBM_FIELDS` may be given with a `_dbm` suffix instead, but not in both
+forms; x dBm converts as 10^(x/10) mW.
 """
 
 import hashlib
@@ -204,6 +204,8 @@ def build_config(entries: dict[str, object]) -> ExperimentConfig:
                     value = dbm_to_watts(value)
                 except ConfigError as exc:
                     raise ConfigError(f"{key!r}: {exc}") from exc
+            if base in system:
+                raise ConfigError(f"'system.{base}' and 'system.{base}_dbm' set one power; give one")
             system[base] = _checked(key, value, _SYSTEM_TYPES[base])
         elif section in _SECTIONS:
             raise ConfigError(f"unknown config key {key!r}")

@@ -9,14 +9,17 @@ plus an exhaustive brute-force oracle and the two fixed baselines.
 Every search runs on an `Instance`: one channel draw with its parameters.
 Its solutions live in a store keyed by the SDP's content, so each distinct
 SDP is solved at most once however many searches, rounds and instances
-sharing the store ask for it.
+sharing the store ask for it.  Each search except brute force opens with a
+division known before any solve (`OPENINGS`); `solve_openings` solves the
+openings of many searches as one batch into their stores, and the searches
+then find them there.
 """
 
 import logging
 from dataclasses import dataclass
 from enum import Enum
 
-from . import beamform
+from . import beamform, sdp
 from .beamform import (
     GroupDivision,
     PowerReport,
@@ -147,6 +150,49 @@ def channel_check(
     return GroupDivision(division.n_et, fet)
 
 
+def _channel_checked(instance: Instance, division: GroupDivision) -> GroupDivision:
+    return channel_check(instance.topology, instance.channels, division, instance.params)
+
+
+# the first division each search evaluates, named as in `run.algorithms`;
+# brute force opens with every division and has no entry
+OPENINGS = {
+    "alg1": lambda instance: _channel_checked(instance, GroupDivision.all_met(instance.topology.n_et)),
+    "alg2": lambda instance: _channel_checked(
+        instance, _classify_by_ranges(instance.topology, initial_green_range(instance.params))
+    ),
+    "all-fet": lambda instance: GroupDivision.all_fet(instance.topology.n_et),
+    "all-met": lambda instance: GroupDivision.all_met(instance.topology.n_et),
+}
+
+
+def solve_openings(asks) -> None:
+    """Solve the openings of the searches `asks` names as one batch.
+
+    `asks` yields (instance, search name) pairs; a name without an entry in
+    `OPENINGS` is skipped.  An opening already in its instance's memo or
+    store is dropped, problems with one `solve_key` are solved once, and
+    each solution goes into the store of every instance that asked for it.
+    `solve_batch` equals solving alone, so a search run afterwards returns
+    what it returns without this call, and makes no solve this call made.
+    """
+    misses: dict[bytes, tuple] = {}
+    for instance, name in asks:
+        if name not in OPENINGS:
+            continue
+        division = OPENINGS[name](instance)
+        if division in instance.memo:
+            continue
+        problem = beamform.build_sdp(instance.topology, instance.channels, division, instance.params)
+        key = solve_key(problem)
+        if key not in instance.store:
+            misses.setdefault(key, (problem, []))[1].append(instance.store)
+    solutions = sdp.solve_batch([problem for problem, _ in misses.values()])
+    for (key, (_, stores)), solution in zip(misses.items(), solutions):
+        for store in stores:
+            store[key] = solution
+
+
 def _cheapest(candidates) -> tuple[GroupDivision, PowerReport] | None:
     """The first (division, report) pair of least objective among those
     that solved, or None if none solved.  Callers list the candidates in
@@ -258,24 +304,22 @@ def _iterate(initial: GroupDivision, update_fn) -> DivisionRunResult:
     return _run_result(rounds, Termination.ITERATION_CAP)
 
 
-def _run_iterative(instance: Instance, initial: GroupDivision) -> DivisionRunResult:
-    start = channel_check(instance.topology, instance.channels, initial, instance.params)
-
+def _run_iterative(instance: Instance, name: str) -> DivisionRunResult:
     def update(prev: GroupDivision):
         return update_division(instance, prev)
 
-    return _iterate(start, update)
+    return _iterate(OPENINGS[name](instance), update)
 
 
 def algorithm1(instance: Instance) -> DivisionRunResult:
-    """Iterative division starting from the all-MET assumption."""
-    return _run_iterative(instance, GroupDivision.all_met(instance.topology.n_et))
+    """Iterative division starting from the all-MET assumption, channel-checked."""
+    return _run_iterative(instance, "alg1")
 
 
 def algorithm2(instance: Instance) -> DivisionRunResult:
-    """Iterative division seeded by each RRH's green-energy-only range."""
-    initial = _classify_by_ranges(instance.topology, initial_green_range(instance.params))
-    return _run_iterative(instance, initial)
+    """Iterative division seeded by each RRH's green-energy-only range,
+    channel-checked."""
+    return _run_iterative(instance, "alg2")
 
 
 def brute_force(instance: Instance) -> DivisionRunResult:
@@ -301,13 +345,16 @@ def brute_force(instance: Instance) -> DivisionRunResult:
     return _single_result(*best, termination)
 
 
+def _fixed(instance: Instance, name: str) -> DivisionRunResult:
+    division = OPENINGS[name](instance)
+    return _single_result(division, instance.evaluate(division)[0])
+
+
 def baseline_all_fet(instance: Instance) -> DivisionRunResult:
     """Fixed division treating every ET as free; infeasibility is a valid outcome."""
-    division = GroupDivision.all_fet(instance.topology.n_et)
-    return _single_result(division, instance.evaluate(division)[0])
+    return _fixed(instance, "all-fet")
 
 
 def baseline_all_met(instance: Instance) -> DivisionRunResult:
     """Fixed division keeping every ET CSI-assisted."""
-    division = GroupDivision.all_met(instance.topology.n_et)
-    return _single_result(division, instance.evaluate(division)[0])
+    return _fixed(instance, "all-met")

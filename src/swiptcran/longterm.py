@@ -25,7 +25,7 @@ from .beamform import (  # noqa: F401
     power_report,
     solve_division,
 )
-from .division import DivisionRunResult, Instance, algorithm1, algorithm2
+from .division import DivisionRunResult, Instance, algorithm1, algorithm2, solve_openings
 from .sdp import SdpStatus
 from .topology import ChannelRealization, draw_channels
 
@@ -83,7 +83,9 @@ def training_stage(
     """Estimate each ET's FET frequency over `q_training` fading slots.
 
     `algorithm` (a name in `ALGORITHMS`, or a callable taking an `Instance`)
-    runs once per slot on that slot's draw.  The frozen division assigns FET
+    runs once per slot on that slot's draw.  For a name, every slot's
+    opening division is solved first, as one batch
+    (`division.solve_openings`).  The frozen division assigns FET
     to every ET whose frequency reaches `threshold`; an exact tie freezes as
     FET (the CSI-free mode is cheaper).  A training in which no slot solves
     is an outcome, not an error: the result's `status` reports it.
@@ -100,12 +102,18 @@ def training_stage(
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(ALGORITHMS)}")
 
+    instances = [
+        Instance(topology, draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs), params)
+        for slot in range(q_training)
+    ]
+    # a named search opens every slot with a known division: one batch
+    if not callable(algorithm):
+        solve_openings((instance, algorithm) for instance in instances)
     counts = np.zeros(topology.n_et)
     slots_used = 0
     unsolved = None
-    for slot in range(q_training):
-        channels = draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs)
-        result: DivisionRunResult = run(Instance(topology, channels, params))
+    for instance in instances:
+        result: DivisionRunResult = run(instance)
         if not result.report.feasible:
             if result.report.status is not SdpStatus.INFEASIBLE:
                 unsolved = unsolved or result.report.status

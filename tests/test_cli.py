@@ -2,6 +2,7 @@
 
 import csv
 import os
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +19,14 @@ from swiptcran.cli import (
     write_rows,
 )
 from swiptcran.config import ALGORITHM_CHOICES, ConfigError, ExperimentConfig, load_config
-from swiptcran.division import DivisionRunResult
-from swiptcran.longterm import ALGORITHMS
+from swiptcran.division import (
+    DivisionRunResult,
+    algorithm1,
+    algorithm2,
+    baseline_all_fet,
+    baseline_all_met,
+)
+from swiptcran.longterm import ALGORITHMS, training_stage
 from swiptcran.validate import CheckResult
 
 SMALL_CONF = """
@@ -282,6 +289,18 @@ class TestOutputCheckedFirst:
         assert "Traceback" not in err
         assert out.read_text(encoding="utf-8") == text
 
+    @pytest.mark.parametrize(
+        "data", [b"\xff\xfe\x00", b"x" * (1 << 18) + b"\n"], ids=["not-utf8", "field-over-csv-limit"]
+    )
+    def test_unreadable_csv(self, small_conf, tmp_path, capsys, data):
+        out = tmp_path / "o.csv"
+        out.write_bytes(data)
+        assert main(["single-slot", "--config", small_conf, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error:" in err and "does not read as UTF-8 CSV" in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == data
+
     def test_missing_directory(self, small_conf, tmp_path, capsys):
         out = tmp_path / "missing" / "o.csv"
         assert main(["single-slot", "--config", small_conf, "--out", str(out)]) == 1
@@ -338,29 +357,47 @@ class TestSweepStore:
         "run.mode": "sweep", "topology.n_it": 3, "topology.n_et": 7, "run.n_trials": 2,
         "run.seed": 4, "run.algorithms": "alg1, alg2, all-fet, all-met",
     }
-    ALL_FET = (1 << 7) - 1
 
     @staticmethod
-    def _count_solves(monkeypatch) -> list[int]:
-        masks = []
-        real = division_module.solve_division
+    def _count_solves(monkeypatch) -> list[bytes]:
+        """Record the solve_key of every problem solved, alone or in a batch:
+        `sdp.solve` solves through `sdp.solve_batch` too."""
+        keys = []
+        real = sdp_module.solve_batch
 
-        def counted(topology, channels, division, params, problem=None):
-            masks.append(division.to_bitmask())
-            return real(topology, channels, division, params, problem)
+        def counted(problems):
+            problems = list(problems)
+            keys.extend(sdp_module.solve_key(p) for p in problems)
+            return real(problems)
 
-        monkeypatch.setattr(division_module, "solve_division", counted)
-        return masks
+        monkeypatch.setattr(sdp_module, "solve_batch", counted)
+        return keys
+
+    def _config(self, param, values):
+        return load_config(None, {**self.BASE, "sweep.param": param, "sweep.values": values})
 
     def _sweep(self, param, values):
-        config = load_config(None, {**self.BASE, "sweep.param": param, "sweep.values": values})
-        return cli.run_sweep(config)[0]
+        return cli.run_sweep(self._config(param, values))[0]
+
+    @staticmethod
+    def _all_fet_keys(config) -> set[bytes]:
+        """The solve_key of the all-FET SDP at each (draw, sweep value)."""
+        keys = set()
+        for trial in range(config.n_trials):
+            for value in config.sweep_values:
+                inst = cli._trial_instance(config, trial, config.sweep_param_watts(value))
+                division = GroupDivision.all_fet(config.n_et)
+                problem = beamform.build_sdp(inst.topology, inst.channels, division, inst.params)
+                keys.add(sdp_module.solve_key(problem))
+        return keys
 
     def test_p_amin_sweep_solves_all_fet_once_per_draw(self, monkeypatch):
         values = [-20, -18, -17, -15]
-        masks = self._count_solves(monkeypatch)
+        all_fet = self._all_fet_keys(self._config("p_amin_dbm", values))
+        keys = self._count_solves(monkeypatch)
         rows = self._sweep("p_amin_dbm", values)
-        assert masks.count(self.ALL_FET) == 2  # one per draw, not one per (draw, value)
+        # one per draw, not one per (draw, value)
+        assert sum(key in all_fet for key in keys) == 2
         order = [(r["sweep_value"], r["trial"]) for r in rows]
         assert order == sorted(order, key=lambda vt: (values.index(float(vt[0])), vt[1]))
         fresh = [row for v in values for row in self._sweep("p_amin_dbm", [v])]
@@ -373,9 +410,79 @@ class TestSweepStore:
         "param, values", [("p_fmin_dbm", [-24, -22, -20, -18]), ("noise_power_dbm", [-42, -41, -40, -39])]
     )
     def test_a_changed_rhs_is_solved_again(self, monkeypatch, param, values):
-        masks = self._count_solves(monkeypatch)
+        all_fet = self._all_fet_keys(self._config(param, values))
+        keys = self._count_solves(monkeypatch)
         self._sweep(param, values)
-        assert masks.count(self.ALL_FET) == 2 * 4
+        assert sum(key in all_fet for key in keys) == 2 * 4
+
+
+class TestOpeningBatch:
+    """Each sweep draw and each training solves its searches' openings as
+    one batch, with every result as the searches give alone."""
+
+    CONF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "conf"
+
+    @staticmethod
+    def _count_batches(monkeypatch) -> list[list[bytes]]:
+        """Record the solve_key of every problem of every `solve_batch` call."""
+        batches = []
+        real = sdp_module.solve_batch
+
+        def counted(problems):
+            problems = list(problems)
+            batches.append([sdp_module.solve_key(p) for p in problems])
+            return real(problems)
+
+        monkeypatch.setattr(sdp_module, "solve_batch", counted)
+        return batches
+
+    def test_sweep_panel(self, monkeypatch):
+        """The benchmark's sweep panel: master seeds 0-7, one draw each."""
+        batches = self._count_batches(monkeypatch)
+        openings, keys, runs = [], [], []
+        for seed in range(8):
+            config = load_config(
+                str(self.CONF_DIR / "sweep-heuristics.conf"),
+                {"run.mode": "sweep", "run.seed": seed, "run.n_trials": 1},
+            )
+            batches.clear()
+            rows = cli.run_sweep(config)[0]
+            openings.append(len(batches[0]))
+            keys += [key for batch in batches for key in batch]
+            runs.append((config, rows))
+        assert openings == [5, 5, 5, 5, 9, 9, 5, 5]
+        assert len(keys) == len(set(keys)) == 103
+        searches = {"alg1": algorithm1, "alg2": algorithm2,
+                    "all-fet": baseline_all_fet, "all-met": baseline_all_met}
+        for config, rows in runs:
+            assert len(rows) == 4 * 4
+            for row in rows:
+                params = config.sweep_param_watts(float(row["sweep_value"]))
+                result = searches[row["algorithm"]](cli._trial_instance(config, 0, params))
+                assert row["division_bitmask"] == str(result.final_division.to_bitmask())
+                assert row["iterations"] == str(result.iterations)
+                assert row["termination"] == result.termination.value
+                report = cli._report_fields(result.report)
+                assert {k: row[k] for k in report} == report
+
+    def test_training(self, monkeypatch):
+        """The benchmark's long-term config at master seed 0: of 32 solves,
+        the 10 slot openings are one batch."""
+        config = load_config(
+            str(self.CONF_DIR / "longterm.conf"), {"run.mode": "longterm", "run.seed": 0, "run.n_trials": 1}
+        )
+        batches = self._count_batches(monkeypatch)
+        training_stage(
+            cli._trial_topology(config, 0),
+            derived_seed(config.seed, 0, 2),
+            q_training=config.q_training,
+            threshold=config.threshold,
+            params=config.params,
+            algorithm=config.training_algorithm,
+        )
+        sizes = [len(batch) for batch in batches]
+        assert sum(sizes) == 32
+        assert sizes == [10] + [1] * 22
 
 
 class TestLongterm:

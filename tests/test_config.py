@@ -8,6 +8,7 @@ import pytest
 
 from swiptcran.beamform import SystemParams
 from swiptcran.config import (
+    DBM_FIELDS,
     KEYS,
     MODES,
     ConfigError,
@@ -65,6 +66,14 @@ class TestDbmHandling:
     def test_dbm_suffix_rejected_for_unitless_keys(self):
         with pytest.raises(ConfigError, match="dBm"):
             build_config({"system.eta_dbm": -3})
+
+    @pytest.mark.parametrize("name", DBM_FIELDS)
+    def test_a_power_in_both_forms_is_refused(self, name):
+        plain, dbm = f"system.{name}", f"system.{name}_dbm"
+        for entries in ({plain: 1e-5, dbm: -20}, {dbm: -20, plain: 1e-5}):
+            with pytest.raises(ConfigError) as caught:
+                build_config(entries)
+            assert repr(plain) in str(caught.value) and repr(dbm) in str(caught.value)
 
 
 class TestDefaults:
