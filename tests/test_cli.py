@@ -350,6 +350,21 @@ class TestSweep:
         assert {row["sweep_value"] for row in rows} == {"-20.0", "-17.0"}
 
 
+def _count_batches(monkeypatch) -> list[list[bytes]]:
+    """Record the solve_key of every problem of every `sdp.solve_batch` call;
+    a single solve reaches it too, through `sdp.solve`."""
+    batches = []
+    real = sdp_module.solve_batch
+
+    def counted(problems):
+        problems = list(problems)
+        batches.append([sdp_module.solve_key(p) for p in problems])
+        return real(problems)
+
+    monkeypatch.setattr(sdp_module, "solve_batch", counted)
+    return batches
+
+
 class TestSweepStore:
     """The sweep values of one draw share a solve store."""
 
@@ -357,21 +372,6 @@ class TestSweepStore:
         "run.mode": "sweep", "topology.n_it": 3, "topology.n_et": 7, "run.n_trials": 2,
         "run.seed": 4, "run.algorithms": "alg1, alg2, all-fet, all-met",
     }
-
-    @staticmethod
-    def _count_solves(monkeypatch) -> list[bytes]:
-        """Record the solve_key of every problem solved, alone or in a batch:
-        `sdp.solve` solves through `sdp.solve_batch` too."""
-        keys = []
-        real = sdp_module.solve_batch
-
-        def counted(problems):
-            problems = list(problems)
-            keys.extend(sdp_module.solve_key(p) for p in problems)
-            return real(problems)
-
-        monkeypatch.setattr(sdp_module, "solve_batch", counted)
-        return keys
 
     def _config(self, param, values):
         return load_config(None, {**self.BASE, "sweep.param": param, "sweep.values": values})
@@ -394,10 +394,10 @@ class TestSweepStore:
     def test_p_amin_sweep_solves_all_fet_once_per_draw(self, monkeypatch):
         values = [-20, -18, -17, -15]
         all_fet = self._all_fet_keys(self._config("p_amin_dbm", values))
-        keys = self._count_solves(monkeypatch)
+        batches = _count_batches(monkeypatch)
         rows = self._sweep("p_amin_dbm", values)
         # one per draw, not one per (draw, value)
-        assert sum(key in all_fet for key in keys) == 2
+        assert sum(key in all_fet for batch in batches for key in batch) == 2
         order = [(r["sweep_value"], r["trial"]) for r in rows]
         assert order == sorted(order, key=lambda vt: (values.index(float(vt[0])), vt[1]))
         fresh = [row for v in values for row in self._sweep("p_amin_dbm", [v])]
@@ -411,9 +411,9 @@ class TestSweepStore:
     )
     def test_a_changed_rhs_is_solved_again(self, monkeypatch, param, values):
         all_fet = self._all_fet_keys(self._config(param, values))
-        keys = self._count_solves(monkeypatch)
+        batches = _count_batches(monkeypatch)
         self._sweep(param, values)
-        assert sum(key in all_fet for key in keys) == 2 * 4
+        assert sum(key in all_fet for batch in batches for key in batch) == 2 * 4
 
 
 class TestOpeningBatch:
@@ -422,23 +422,9 @@ class TestOpeningBatch:
 
     CONF_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "conf"
 
-    @staticmethod
-    def _count_batches(monkeypatch) -> list[list[bytes]]:
-        """Record the solve_key of every problem of every `solve_batch` call."""
-        batches = []
-        real = sdp_module.solve_batch
-
-        def counted(problems):
-            problems = list(problems)
-            batches.append([sdp_module.solve_key(p) for p in problems])
-            return real(problems)
-
-        monkeypatch.setattr(sdp_module, "solve_batch", counted)
-        return batches
-
     def test_sweep_panel(self, monkeypatch):
         """The benchmark's sweep panel: master seeds 0-7, one draw each."""
-        batches = self._count_batches(monkeypatch)
+        batches = _count_batches(monkeypatch)
         openings, keys, runs = [], [], []
         for seed in range(8):
             config = load_config(
@@ -471,7 +457,7 @@ class TestOpeningBatch:
         config = load_config(
             str(self.CONF_DIR / "longterm.conf"), {"run.mode": "longterm", "run.seed": 0, "run.n_trials": 1}
         )
-        batches = self._count_batches(monkeypatch)
+        batches = _count_batches(monkeypatch)
         training_stage(
             cli._trial_topology(config, 0),
             derived_seed(config.seed, 0, 2),
