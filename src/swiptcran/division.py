@@ -7,12 +7,12 @@ boundary.  Two initializations are provided (all-MET and green-range based),
 plus an exhaustive brute-force oracle and the two fixed baselines.
 
 Every search runs on an `Instance`: one channel draw with its parameters.
-Its solutions live in a store keyed by the SDP's content, so each distinct
-SDP is solved at most once however many searches, rounds and instances
-sharing the store ask for it.  Each search except brute force opens with a
-division known before any solve (`OPENINGS`); `solve_openings` solves the
-openings of many searches as one batch into their stores, and the searches
-then find them there.
+`evaluate_all` is the one place that evaluates divisions, for the
+searches, their openings and the long-term stage: each distinct SDP is
+solved at most once however many searches, rounds and instances sharing
+a store ask for it.  Each search except brute force opens with a division
+known before any solve (`OPENINGS`), so `solve_openings` can evaluate the
+openings of many searches in one call.
 """
 
 import logging
@@ -76,18 +76,14 @@ class DivisionRunResult:
 class Instance:
     """One channel draw's division problem: topology, channels and params.
 
-    `evaluate(division)` returns `solve_division`'s (PowerReport, SdpSolution).
-    The first call for a division builds its SDP and looks its
-    `sdp.solve_key` up in `store`, a dict from key to SdpSolution; only a
-    miss is solved, from the problem already built.  The key pins the
-    solution but not the parameters the report reads, so the report is
-    derived with the instance's own params.  Instances of one draw may
-    share a store: a sweep value that leaves a division's SDP unchanged
-    then reuses its solution.  Each answer is also kept in `memo`, keyed by
-    the division: one instance is one (topology, channels, params), so a
-    repeated call returns the same report and solution objects without a
-    build, a key or a new report.  Callers share the returned reports and
-    solutions and must not modify them.
+    `evaluate(division)` is `evaluate_all` on one pair.  `store` maps an
+    SDP's `sdp.solve_key` to its SdpSolution; instances of one draw may
+    share it, so a sweep value that leaves a division's SDP unchanged
+    reuses its solution.  The key pins the solution but not the parameters
+    the report reads, so reports use the instance's own params.  `memo`
+    maps each division answered to its (report, solution), returned again
+    without a build, a key or a new report.  Callers share the returned
+    reports and solutions and must not modify them.
     """
 
     def __init__(self, topology, channels, params: SystemParams, store: dict | None = None):
@@ -98,20 +94,49 @@ class Instance:
         self.memo: dict[GroupDivision, tuple[PowerReport, SdpSolution]] = {}
 
     def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
-        if division in self.memo:
-            return self.memo[division]
-        # both calls go through names the benchmark's tracer wraps: the
-        # builder as `beamform.build_sdp`, a miss as this module's global
-        problem = beamform.build_sdp(self.topology, self.channels, division, self.params)
-        key = solve_key(problem)
-        if key in self.store:
-            solution = self.store[key]
-            answer = power_report(solution, self.params), solution
-        else:
-            answer = solve_division(self.topology, self.channels, division, self.params, problem)
-            self.store[key] = answer[1]
-        self.memo[division] = answer
-        return answer
+        return evaluate_all([(self, division)])[0]
+
+
+def evaluate_all(asks) -> list[tuple[PowerReport, SdpSolution]]:
+    """Answer each (instance, division) pair of `asks`, in order, with what
+    `solve_division` gives for it alone.
+
+    A pair in its instance's memo is answered from there.  Every other
+    pair, once however often asked, is built and keyed by `solve_key`; a
+    key neither in the instance's store nor solved earlier in this call is
+    solved, once, and every asker's store and memo take the solution.  The
+    pairs are built in the fewest near-equal batches of at most
+    `sdp.BATCH_SIZE` (150 as 3 x 50), each once the batch ahead of it is
+    solved.  A batch's misses are solved as one `sdp.solve_batch` (a lone
+    one by `solve_division`), which equals solving alone and takes
+    problems of one structure: the instances of one call share their RRH,
+    IT and ET counts.
+    """
+    asks = list(asks)
+    todo = list(dict.fromkeys((inst, d) for inst, d in asks if d not in inst.memo))
+    n = len(todo)
+    chunks = -(-n // sdp.BATCH_SIZE)
+    solved: dict[bytes, SdpSolution] = {}
+    for c in range(chunks):
+        built, misses = [], {}
+        for instance, division in todo[c * n // chunks:(c + 1) * n // chunks]:
+            # built through the module attribute, which the benchmark's tracer wraps
+            problem = beamform.build_sdp(instance.topology, instance.channels, division, instance.params)
+            key = solve_key(problem)
+            built.append((instance, division, key))
+            if key not in instance.store and key not in solved:
+                misses.setdefault(key, (problem, instance, division))
+        if len(misses) == 1:
+            # a lone miss is solved through this module's global, the one
+            # name the benchmark's tracer counts solves at
+            [(key, (problem, inst, d))] = misses.items()
+            solved[key] = solve_division(inst.topology, inst.channels, d, inst.params, problem)[1]
+        elif misses:
+            solved.update(zip(misses, sdp.solve_batch([problem for problem, _, _ in misses.values()])))
+        for instance, division, key in built:
+            solution = instance.store.setdefault(key, solved.get(key))
+            instance.memo[division] = power_report(solution, instance.params), solution
+    return [inst.memo[d] for inst, d in asks]
 
 
 def _assigned_distance(topology, et_index: int) -> tuple[int, float]:
@@ -167,30 +192,11 @@ OPENINGS = {
 
 
 def solve_openings(asks) -> None:
-    """Solve the openings of the searches `asks` names as one batch.
-
-    `asks` yields (instance, search name) pairs; a name without an entry in
-    `OPENINGS` is skipped.  An opening already in its instance's memo or
-    store is dropped, problems with one `solve_key` are solved once, and
-    each solution goes into the store of every instance that asked for it.
-    `solve_batch` equals solving alone, so a search run afterwards returns
-    what it returns without this call, and makes no solve this call made.
-    """
-    misses: dict[bytes, tuple] = {}
-    for instance, name in asks:
-        if name not in OPENINGS:
-            continue
-        division = OPENINGS[name](instance)
-        if division in instance.memo:
-            continue
-        problem = beamform.build_sdp(instance.topology, instance.channels, division, instance.params)
-        key = solve_key(problem)
-        if key not in instance.store:
-            misses.setdefault(key, (problem, []))[1].append(instance.store)
-    solutions = sdp.solve_batch([problem for problem, _ in misses.values()])
-    for (key, (_, stores)), solution in zip(misses.items(), solutions):
-        for store in stores:
-            store[key] = solution
+    """Evaluate, in one `evaluate_all` call, the openings of the searches
+    `asks` names as (instance, search name) pairs; a name without an entry
+    in `OPENINGS` is skipped.  A search run afterwards returns what it
+    returns without this call, and finds its opening in its memo."""
+    evaluate_all((inst, OPENINGS[name](inst)) for inst, name in asks if name in OPENINGS)
 
 
 def _cheapest(candidates) -> tuple[GroupDivision, PowerReport] | None:

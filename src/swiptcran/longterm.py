@@ -6,26 +6,19 @@ free determines its frozen role.  In the long-term stage the division stays
 fixed, frozen FETs stop reporting CSI, and each slot solves the same problem
 with their channel columns structurally removed (zeroed): free-terminal
 floors depend only on geometry, so the solves are bit-identical whatever
-those columns contained.
+those columns contained.  Both stages evaluate divisions through
+`division.evaluate_all`, one `Instance` per slot (and per frozen division
+in the long-term stage).
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import beamform, sdp
-
-# the stage calls no solve_division, but perfbench/tracing.py wraps
+# this module calls no solve_division, but perfbench/tracing.py wraps
 # longterm.solve_division, so the name stays a module attribute
-from .beamform import (  # noqa: F401
-    GroupDivision,
-    PowerReport,
-    SystemParams,
-    power_report,
-    solve_division,
-)
-from .division import DivisionRunResult, Instance, algorithm1, algorithm2, solve_openings
+from .beamform import GroupDivision, PowerReport, SystemParams, solve_division  # noqa: F401
+from .division import DivisionRunResult, Instance, algorithm1, algorithm2, evaluate_all, solve_openings
 from .sdp import SdpStatus
 from .topology import ChannelRealization, draw_channels
 
@@ -140,13 +133,13 @@ def longterm_stage(
     Each slot is drawn once and shared by every division.  Frozen FET
     channel columns are zeroed before each build: their floors are
     geometric, so results cannot depend on what those ETs would have
-    reported.  Each distinct division is solved once, and the stage's
-    (slot, division) problems are solved in the fewest batches of at most
-    `sdp.BATCH_SIZE`, of near-equal sizes (150 problems as 3 x 50, not
-    64 + 64 + 22), each built when it is solved; each report equals what
-    `solve_division` gives for its slot alone.  Unsolved slots yield
-    NaN reports with `feasible` false and the solver's status
-    (`Infeasible` or `MaxIterations`) in `status`.
+    reported.  Each distinct division is evaluated once, and all its
+    (division, slot) problems go to one `evaluate_all` call, which solves
+    them in the fewest near-equal batches (all divisions of a topology
+    share one SDP structure); each report equals what `solve_division`
+    gives for its slot alone.  Unsolved slots yield NaN reports with
+    `feasible` false and the solver's status (`Infeasible` or
+    `MaxIterations`) in `status`.
     """
     if q_longterm < 0:
         raise ValueError("q_longterm must be nonnegative")
@@ -155,18 +148,11 @@ def longterm_stage(
     for division in distinct:
         division.validate_for(topology.n_et)
     draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
-    # built through the module attribute, which the benchmark's tracer wraps
-    problems = (
-        beamform.build_sdp(topology, mask_fet_channels(ch, division), division, params)
+    answers = evaluate_all(
+        (Instance(topology, mask_fet_channels(ch, division), params), division)
         for division in distinct
         for ch in draws
     )
-    n = len(distinct) * q_longterm
-    chunks = -(-n // sdp.BATCH_SIZE)
-    reports = []
-    for i in range(chunks):
-        size = (i + 1) * n // chunks - i * n // chunks
-        batch = sdp.solve_batch(itertools.islice(problems, size))
-        reports += [power_report(solution, params) for solution in batch]
+    reports = [report for report, _ in answers]
     by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
     return [by_division[d] for d in divisions]

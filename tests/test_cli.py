@@ -20,7 +20,9 @@ from swiptcran.cli import (
 )
 from swiptcran.config import ALGORITHM_CHOICES, ConfigError, ExperimentConfig, load_config
 from swiptcran.division import (
+    OPENINGS,
     DivisionRunResult,
+    Instance,
     algorithm1,
     algorithm2,
     baseline_all_fet,
@@ -309,6 +311,23 @@ class TestOutputCheckedFirst:
         assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("n_it, noted", [(4, True), (3, False)])
+def test_infeasible_load_is_noted(tmp_path, capsys, n_it, noted):
+    # 4 ITs at 13 dB need a steering load of 4 * 20/21 = 3.81 from 3 RRHs
+    conf = tmp_path / "load.conf"
+    conf.write_text(f"topology.n_it = {n_it}\nrun.n_trials = 1\nrun.algorithms = all-fet\n",
+                    encoding="utf-8")
+    assert main(["single-slot", "--config", str(conf), "--out", str(tmp_path / "o.csv")]) == 0
+    captured = capsys.readouterr()
+    notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+    assert len(notes) == (1 if noted else 0)
+    if noted:
+        assert "A note on the default scenario" in notes[0]
+        assert "3.81 >= 3 RRHs" in notes[0]
+    assert "note:" not in captured.out
+    assert [r["status"] for r in _read_rows(tmp_path / "o.csv")] == ["Infeasible" if noted else "Optimal"]
+
+
 def test_out_to_devnull_runs(small_conf, capsys):
     assert main(["single-slot", "--config", small_conf, "--out", os.devnull, "--trials", "1"]) == 0
     assert f"to {os.devnull}" in capsys.readouterr().out
@@ -450,6 +469,41 @@ class TestOpeningBatch:
                 assert row["termination"] == result.termination.value
                 report = cli._report_fields(result.report)
                 assert {k: row[k] for k in report} == report
+
+    def test_first_value_finds_its_openings_in_its_memo(self, monkeypatch):
+        """One draw of the sweep panel: each instance builds each division
+        it answers once, and the first sweep value's searches run on the
+        instance the opening batch answered, so that value's openings are
+        built once, not twice (the other values' are built again by their
+        own trial instances)."""
+        config = load_config(
+            str(self.CONF_DIR / "sweep-heuristics.conf"),
+            {"run.mode": "sweep", "run.seed": 0, "run.n_trials": 1},
+        )
+        instances, builds = [], []
+        real_build = beamform.build_sdp
+
+        class Recorded(Instance):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                instances.append(self)
+
+        def counted(topology, channels, division, params):
+            builds.append(params)
+            return real_build(topology, channels, division, params)
+
+        monkeypatch.setattr(cli, "Instance", Recorded)
+        monkeypatch.setattr(beamform, "build_sdp", counted)
+        cli.run_sweep(config)
+        first = instances[0]
+        # value 0's one instance; an opening instance and a trial instance per other value
+        assert [inst.params is first.params for inst in instances] == [True] + [False] * 6
+        openings = {OPENINGS[name](first) for name in config.algorithms}
+        assert openings <= first.memo.keys() and len(openings) >= 2
+        for params in {id(inst.params): inst.params for inst in instances}.values():
+            built = sum(p is params for p in builds)
+            assert built == sum(len(inst.memo) for inst in instances if inst.params is params)
+        assert len(builds) == sum(len(inst.memo) for inst in instances)
 
     def test_training(self, monkeypatch):
         """The benchmark's long-term config at master seed 0: of 32 solves,

@@ -30,6 +30,7 @@ from swiptcran.division import (
     boundary_refine,
     brute_force,
     channel_check,
+    evaluate_all,
     update_division,
 )
 from swiptcran.sdp import SdpStatus
@@ -485,6 +486,129 @@ class TestInstance:
         # same bitmask as all-MET, but a division of one ET, not two
         with pytest.raises(ValueError):
             inst.evaluate(GroupDivision(1))
+
+
+class TestEvaluateAll:
+    """Every answer of `evaluate_all` equals a fresh instance's `evaluate`,
+    bit for bit, however it was found: memo, store, a lone solve or a batch."""
+
+    @staticmethod
+    def _watch(monkeypatch) -> dict[str, list]:
+        """Record each build's division, each lone solve's division and the
+        size of each `sdp.solve_batch` call (a lone solve reaches it too)."""
+        seen = {"builds": [], "lone": [], "batches": []}
+        build, lone, batch = beamform_module.build_sdp, division_module.solve_division, sdp_module.solve_batch
+
+        def counted_build(topology, channels, division, params):
+            seen["builds"].append(division)
+            return build(topology, channels, division, params)
+
+        def counted_lone(topology, channels, division, params, problem=None):
+            seen["lone"].append(division)
+            return lone(topology, channels, division, params, problem)
+
+        def counted_batch(problems):
+            problems = list(problems)
+            seen["batches"].append(len(problems))
+            return batch(problems)
+
+        monkeypatch.setattr(beamform_module, "build_sdp", counted_build)
+        monkeypatch.setattr(division_module, "solve_division", counted_lone)
+        monkeypatch.setattr(sdp_module, "solve_batch", counted_batch)
+        return seen
+
+    @staticmethod
+    def _assert_fresh(answers, asks):
+        assert len(answers) == len(asks)
+        for (report, solution), (inst, division) in zip(answers, asks):
+            fresh, fresh_solution = Instance(inst.topology, inst.channels, inst.params).evaluate(division)
+            assert report.status is fresh.status
+            assert report.objective == fresh.objective or (
+                math.isnan(report.objective) and math.isnan(fresh.objective)
+            )
+            for field in ("p_op", "p_pu", "ranges"):
+                np.testing.assert_array_equal(getattr(report, field), getattr(fresh, field))
+            assert solution.iterations == fresh_solution.iterations
+            np.testing.assert_array_equal(solution.scalar_values, fresh_solution.scalar_values)
+            for block, fresh_block in zip(solution.block_values, fresh_solution.block_values):
+                np.testing.assert_array_equal(block, fresh_block)
+
+    def test_memo_hits_build_nothing(self, monkeypatch):
+        inst = _instance(11)
+        first = inst.evaluate(GroupDivision(7, {0, 3}))
+        seen = self._watch(monkeypatch)
+        (again,) = evaluate_all([(inst, GroupDivision(7, {3, 0}))])
+        assert again[0] is first[0] and again[1] is first[1]
+        assert seen == {"builds": [], "lone": [], "batches": []}
+
+    def test_store_hit_through_a_sibling_instance(self, monkeypatch):
+        inst = _instance(11)
+        all_met = GroupDivision.all_met(7)
+        inst.evaluate(all_met)
+        # the all-MET SDP has no FET floor, so p_fmin moves only the report
+        sibling = Instance(inst.topology, inst.channels, SystemParams(p_fmin=PARAMS.p_fmin / 4), inst.store)
+        seen = self._watch(monkeypatch)
+        asks = [(sibling, all_met)]
+        answers = evaluate_all(asks)
+        assert seen == {"builds": [all_met], "lone": [], "batches": []}
+        assert answers[0][1] is inst.memo[all_met][1]
+        assert sibling.memo[all_met] is answers[0]
+        self._assert_fresh(answers, asks)
+
+    def test_duplicate_asks_are_built_and_solved_once(self, monkeypatch):
+        inst = _instance(11)
+        a, b = GroupDivision(7, {1}), GroupDivision(7, {1, 5})
+        seen = self._watch(monkeypatch)
+        asks = [(inst, a), (inst, b), (inst, GroupDivision(7, {1})), (inst, a)]
+        answers = evaluate_all(asks)
+        assert seen == {"builds": [a, b], "lone": [], "batches": [2]}
+        assert answers[0] is answers[2] is answers[3] is inst.memo[a]
+        self._assert_fresh(answers, asks)
+
+    def test_lone_miss_goes_through_solve_division(self, monkeypatch):
+        inst = _instance(14)
+        division = GroupDivision(7, {2, 6})
+        seen = self._watch(monkeypatch)
+        asks = [(inst, division)]
+        answers = evaluate_all(asks)
+        assert seen == {"builds": [division], "lone": [division], "batches": [1]}
+        self._assert_fresh(answers, asks)
+
+    def test_misses_of_many_instances_share_one_batch(self, monkeypatch):
+        inst, other = _instance(11), _instance(14)
+        asks = [(inst, GroupDivision.all_fet(7)), (other, GroupDivision.all_met(7)),
+                (inst, GroupDivision(7, {0, 3})), (other, GroupDivision(7, {6}))]
+        seen = self._watch(monkeypatch)
+        answers = evaluate_all(asks)
+        assert seen == {"builds": [d for _, d in asks], "lone": [], "batches": [4]}
+        self._assert_fresh(answers, asks)
+
+    def test_certified_infeasible_answers(self, monkeypatch):
+        # at 4 ITs every division is infeasible, in a batch as alone
+        inst = _instance(21, n_it=4)
+        asks = [(inst, GroupDivision.all_met(7)), (inst, GroupDivision.all_fet(7))]
+        seen = self._watch(monkeypatch)
+        answers = evaluate_all(asks)
+        assert seen["batches"] == [2]
+        assert all(report.status is SdpStatus.INFEASIBLE for report, _ in answers)
+        self._assert_fresh(answers, asks)
+
+    def test_batches_are_near_equal_and_a_key_is_solved_once(self, monkeypatch):
+        # five asks at two per batch: 1 + 2 + 2.  The last asks a key the
+        # first batch solved, on an instance with its own store, which leaves
+        # the third batch one miss
+        monkeypatch.setattr(sdp_module, "BATCH_SIZE", 2)
+        inst = _instance(11)
+        twin = Instance(inst.topology, inst.channels, inst.params)
+        divisions = [GroupDivision(7, {j}) for j in range(4)]
+        asks = [(inst, d) for d in divisions] + [(twin, divisions[0])]
+        seen = self._watch(monkeypatch)
+        answers = evaluate_all(asks)
+        assert seen["builds"] == [d for _, d in asks]
+        assert seen["lone"] == [divisions[0], divisions[3]]
+        assert seen["batches"] == [1, 2, 1]
+        assert answers[4][1] is answers[0][1] and len(twin.store) == 1
+        self._assert_fresh(answers, asks)
 
 
 # (seed, algorithm) -> (final bitmask, termination, iterations, objective) on

@@ -103,3 +103,34 @@ def test_traced_runs_stay_computable(tmp_path, mode, workload, trials):
     probe = json.loads(out.read_text(encoding="utf-8"))
     assert probe["solves"] >= 1
     assert "sdp.solve_ms_p50" in probe["metrics"]
+
+
+def test_traced_longterm_counts_training_solves_only(tmp_path):
+    # the long-term stage evaluates through division.evaluate_all, which
+    # solves its 150 problems as batches: no solve_division span sits under
+    # the stage, and training's 22 lone solves (32 less the 10 openings
+    # solved as one batch) keep theirs
+    conf = ROOT / "perfbench" / "conf" / "longterm.conf"
+    out = tmp_path / "spans.json"
+    probe = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from tracing import NAME, Tracer
+from swiptcran import cli
+
+tracer = Tracer()
+tracer.install()
+assert cli.main(sys.argv[4:]) == 0
+spans = tracer.spans
+solves = [i for i, s in enumerate(spans) if s[NAME] == "beamform.solve_division"]
+with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    json.dump({"solves": len(solves),
+               "in_stage": sum(tracer._ancestor(i, {"longterm.longterm_stage"}) >= 0 for i in solves)}, fh)
+"""
+    subprocess.run(
+        [sys.executable, "-c", probe, str(ROOT / "src"), str(ROOT / "perfbench"), str(out),
+         "longterm", "--config", str(conf), "--seed", "0", "--trials", "1",
+         "--out", str(tmp_path / "rows.csv")],
+        cwd=tmp_path, check=True, capture_output=True, timeout=300,
+    )
+    assert json.loads(out.read_text(encoding="utf-8")) == {"solves": 22, "in_stage": 0}
