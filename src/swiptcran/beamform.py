@@ -225,6 +225,29 @@ def build_sdp(topology, channels, division: GroupDivision, params: SystemParams)
     )
 
 
+def sdp_key(topology, channels, division: GroupDivision, params: SystemParams) -> tuple:
+    """A key of what `build_sdp` builds from channels drawn on `topology`,
+    found without a build: equal keys, array-for-array equal problems.
+
+    It holds the channels, each ET's assigned RRH and distance, the
+    division and only the parameters its rows read (`p_amin` with a MET,
+    `p_fmin` and `alpha_abs` with a FET, `eta` with either), by their bits:
+    0.0 and -0.0 are equal keys but build different right-hand sides.  The
+    solver's constants are not in it: a store must not outlive a change
+    to them.
+    """
+    names = ["sinr_min", "noise_power", "beta", "gamma"]
+    if len(division.fet_set) < division.n_et:
+        names.append("p_amin")
+    if division.fet_set:
+        names += ["p_fmin", "alpha_abs"]
+    if division.n_et:
+        names.append("eta")
+    values = np.array([getattr(params, name) for name in names] + list(params.p_en), dtype=float)
+    arrays = ((a.dtype.str, a.shape, a.tobytes()) for a in (channels.h_id, channels.h_et))
+    return division, topology.assigned_rrhs, values.tobytes(), *arrays
+
+
 def _candidate_finish(problem, beams, tol=1e-9):
     """Scale beams by a common factor and complete scalars so every row holds.
 

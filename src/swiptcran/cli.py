@@ -188,10 +188,9 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
     a solve store, dropped once the draw is done: an SDP no sweep value
     changes (all-FET under a `p_amin` sweep) is solved once per draw.
     Before the draw's first searches, the openings of every search at
-    every sweep value, the first value's own instance included, are
-    solved as one batch (`division.solve_openings`): the first value's
-    trial carries those solves, and a row's `solve_ms` leaves its
-    search's opening out."""
+    every sweep value are solved as one batch into that store
+    (`division.solve_openings`): the first value's trial carries those
+    solves, and a row's `solve_ms` leaves its search's opening out."""
     base = _base_row(config)
     points = [(_fmt(value), config.sweep_param_watts(value)) for value in config.sweep_values]
     per_value = [[] for _ in points]
@@ -201,8 +200,8 @@ def run_sweep(config: ExperimentConfig) -> tuple[list[dict[str, str]], list[str]
             instance = _trial_instance(config, trial, params, store)
             if i == 0:
                 # a sweep sets only powers, so every value shares the draw's channels
-                rest = [Instance(instance.topology, instance.channels, p, store) for _, p in points[1:]]
-                solve_openings((inst, name) for inst in (instance, *rest) for name in config.algorithms)
+                openings = [Instance(instance.topology, instance.channels, p, store) for _, p in points]
+                solve_openings((inst, name) for inst in openings for name in config.algorithms)
             value_rows += _trial_rows(config, base, trial, instance, config.sweep_param, label)
     rows = [row for value_rows in per_value for row in value_rows]
     summary = ["per (algorithm, sweep value) summary:"] + _summarize(

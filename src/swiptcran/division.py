@@ -8,10 +8,11 @@ plus an exhaustive brute-force oracle and the two fixed baselines.
 
 Every search runs on an `Instance`: one channel draw with its parameters.
 `evaluate_all` is the one place that evaluates divisions, for the
-searches, their openings and the long-term stage: each distinct SDP is
-solved at most once however many searches, rounds and instances sharing
-a store ask for it.  Each search except brute force opens with a division
-known before any solve (`OPENINGS`), so `solve_openings` can evaluate the
+searches, their openings and the long-term stage: each distinct SDP,
+keyed by what it is built from (`beamform.sdp_key`), is built and solved
+at most once however many searches, rounds and instances sharing a store
+ask for it.  Each search except brute force opens with a division known
+before any solve (`OPENINGS`), so `solve_openings` can evaluate the
 openings of many searches in one call.
 """
 
@@ -26,10 +27,11 @@ from .beamform import (
     SystemParams,
     initial_green_range,
     power_report,
+    sdp_key,
     solve_division,
     unsolved_report,
 )
-from .sdp import SdpSolution, SdpStatus, solve_key
+from .sdp import SdpSolution, SdpStatus
 from .topology import D_MIN_M, assigned_rrh
 
 POOR_CHANNEL_FACTOR = 0.05
@@ -77,21 +79,19 @@ class Instance:
     """One channel draw's division problem: topology, channels and params.
 
     `evaluate(division)` is `evaluate_all` on one pair.  `store` maps an
-    SDP's `sdp.solve_key` to its SdpSolution; instances of one draw may
+    SDP's `beamform.sdp_key` to its SdpSolution; instances of one draw may
     share it, so a sweep value that leaves a division's SDP unchanged
-    reuses its solution.  The key pins the solution but not the parameters
-    the report reads, so reports use the instance's own params.  `memo`
-    maps each division answered to its (report, solution), returned again
-    without a build, a key or a new report.  Callers share the returned
-    reports and solutions and must not modify them.
+    reuses its solution.  The key pins the solution but not every parameter
+    the report reads, so each answer's report is made from the asking
+    instance's own params.  Callers share the returned solutions and must
+    not modify them.
     """
 
     def __init__(self, topology, channels, params: SystemParams, store: dict | None = None):
         self.topology = topology
         self.channels = channels
         self.params = params
-        self.store: dict[bytes, SdpSolution] = {} if store is None else store
-        self.memo: dict[GroupDivision, tuple[PowerReport, SdpSolution]] = {}
+        self.store: dict[tuple, SdpSolution] = {} if store is None else store
 
     def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
         return evaluate_all([(self, division)])[0]
@@ -101,42 +101,43 @@ def evaluate_all(asks) -> list[tuple[PowerReport, SdpSolution]]:
     """Answer each (instance, division) pair of `asks`, in order, with what
     `solve_division` gives for it alone.
 
-    A pair in its instance's memo is answered from there.  Every other
-    pair, once however often asked, is built and keyed by `solve_key`; a
-    key neither in the instance's store nor solved earlier in this call is
-    solved, once, and every asker's store and memo take the solution.  The
-    pairs are built in the fewest near-equal batches of at most
+    Every pair is keyed by `sdp_key` first, with no build.  A pair whose
+    key is not in its asker's store is a miss; each missed key is built
+    and solved once, and every asker's store takes the solution.  The
+    misses are built in the fewest near-equal batches of at most
     `sdp.BATCH_SIZE` (150 as 3 x 50), each once the batch ahead of it is
-    solved.  A batch's misses are solved as one `sdp.solve_batch` (a lone
-    one by `solve_division`), which equals solving alone and takes
-    problems of one structure: the instances of one call share their RRH,
-    IT and ET counts.
+    solved.  A batch is solved as one `sdp.solve_batch` (a lone miss by
+    `solve_division`), which equals solving alone and takes problems of
+    one structure: the instances of one call share their RRH, IT and ET
+    counts.  Each report is made from its asker's params.
     """
-    asks = list(asks)
-    todo = list(dict.fromkeys((inst, d) for inst, d in asks if d not in inst.memo))
-    n = len(todo)
+    keyed = [(inst, d, sdp_key(inst.topology, inst.channels, d, inst.params)) for inst, d in asks]
+    misses: dict[tuple, tuple[Instance, GroupDivision]] = {}
+    for inst, d, key in keyed:
+        if key not in inst.store:
+            misses.setdefault(key, (inst, d))
+    keys = list(misses)
+    n = len(keys)
     chunks = -(-n // sdp.BATCH_SIZE)
-    solved: dict[bytes, SdpSolution] = {}
+    solved: dict[tuple, SdpSolution] = {}
     for c in range(chunks):
-        built, misses = [], {}
-        for instance, division in todo[c * n // chunks:(c + 1) * n // chunks]:
-            # built through the module attribute, which the benchmark's tracer wraps
-            problem = beamform.build_sdp(instance.topology, instance.channels, division, instance.params)
-            key = solve_key(problem)
-            built.append((instance, division, key))
-            if key not in instance.store and key not in solved:
-                misses.setdefault(key, (problem, instance, division))
-        if len(misses) == 1:
+        batch = keys[c * n // chunks:(c + 1) * n // chunks]
+        asked = [misses[key] for key in batch]
+        # built through the module attribute, which the benchmark's tracer wraps
+        problems = [beamform.build_sdp(i.topology, i.channels, d, i.params) for i, d in asked]
+        if len(batch) == 1:
             # a lone miss is solved through this module's global, the one
             # name the benchmark's tracer counts solves at
-            [(key, (problem, inst, d))] = misses.items()
-            solved[key] = solve_division(inst.topology, inst.channels, d, inst.params, problem)[1]
-        elif misses:
-            solved.update(zip(misses, sdp.solve_batch([problem for problem, _, _ in misses.values()])))
-        for instance, division, key in built:
-            solution = instance.store.setdefault(key, solved.get(key))
-            instance.memo[division] = power_report(solution, instance.params), solution
-    return [inst.memo[d] for inst, d in asks]
+            [(inst, d)] = asked
+            solutions = [solve_division(inst.topology, inst.channels, d, inst.params, problems[0])[1]]
+        else:
+            solutions = sdp.solve_batch(problems)
+        solved.update(zip(batch, solutions))
+    answers = []
+    for inst, _, key in keyed:
+        solution = inst.store.setdefault(key, solved.get(key))
+        answers.append((power_report(solution, inst.params), solution))
+    return answers
 
 
 def _assigned_distance(topology, et_index: int) -> tuple[int, float]:
@@ -195,7 +196,8 @@ def solve_openings(asks) -> None:
     """Evaluate, in one `evaluate_all` call, the openings of the searches
     `asks` names as (instance, search name) pairs; a name without an entry
     in `OPENINGS` is skipped.  A search run afterwards returns what it
-    returns without this call, and finds its opening in its memo."""
+    returns without this call, and one on an instance that shares an asked
+    instance's draw, params and store finds its opening solved there."""
     evaluate_all((inst, OPENINGS[name](inst)) for inst, name in asks if name in OPENINGS)
 
 

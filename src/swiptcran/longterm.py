@@ -134,12 +134,12 @@ def longterm_stage(
     channel columns are zeroed before each build: their floors are
     geometric, so results cannot depend on what those ETs would have
     reported.  Each distinct division is evaluated once, and all its
-    (division, slot) problems go to one `evaluate_all` call, which solves
-    them in the fewest near-equal batches (all divisions of a topology
-    share one SDP structure); each report equals what `solve_division`
-    gives for its slot alone.  Unsolved slots yield NaN reports with
-    `feasible` false and the solver's status (`Infeasible` or
-    `MaxIterations`) in `status`.
+    (division, slot) problems go to one `evaluate_all` call, which builds
+    and solves each distinct one once, in the fewest near-equal batches
+    (all divisions of a topology share one SDP structure); each report
+    equals what `solve_division` gives for its slot alone.  Unsolved
+    slots yield NaN reports with `feasible` false and the solver's status
+    (`Infeasible` or `MaxIterations`) in `status`.
     """
     if q_longterm < 0:
         raise ValueError("q_longterm must be nonnegative")

@@ -74,7 +74,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import marshal
 import math
 import operator
 from dataclasses import dataclass
@@ -546,41 +545,6 @@ BATCH_SIZE = 64
 def solve(problem: SdpProblem) -> SdpSolution:
     """Solve one instance: `solve_batch` on a batch of one."""
     return solve_batch([problem])[0]
-
-
-def solve_key(problem: SdpProblem) -> bytes:
-    """Bytes that pin `solve(problem)`: equal keys, equal solutions.
-
-    The key spells out the block dimensions, the scalar count, each
-    coefficient array's block index, dtype, shape and raw bytes, and each
-    constraint's scalar coefficients, sense and rhs.  Compared whole, as a
-    dict key is, a match is exact; two spellings of one value (a float64
-    and a complex128 array) only cost a second solve.  The solver constants
-    are not part of the key: a store must not outlive a change to them.
-    """
-
-    def arrays(blocks):
-        out = []
-        for b, mat in blocks.items():
-            a = np.asarray(mat)
-            if a.dtype.hasobject:  # the raw bytes of an object array are pointers
-                a = a.astype(np.complex128)
-            out.append((int(b), a.dtype.str, a.shape, a.tobytes()))
-        return out
-
-    def scalars(coeffs):
-        return [(int(j), float(v)) for j, v in coeffs.items()]
-
-    content = [
-        tuple(int(d) for d in problem.block_dims),
-        int(problem.n_scalars),
-        arrays(problem.obj_blocks),
-        scalars(problem.obj_scalars),
-    ]
-    content += [(c.sense, float(c.rhs), scalars(c.scalars), arrays(c.blocks)) for c in problem.constraints]
-    # marshal writes floats as their 8 bytes; format 2 has no back-references,
-    # so the bytes depend on the content alone, not on which objects it shares
-    return marshal.dumps(content, 2)
 
 
 def _structure(problem: SdpProblem) -> tuple:

@@ -14,6 +14,8 @@ in closed form.
 
 `mixed_outcome_batch` is a fixed set of one structure whose problems end
 each way a solve can end, for the batch tests and `tools/compare_solves.py`.
+`problem_content` is what a problem holds, as a value tests can compare and
+count problems by.
 """
 
 import numpy as np
@@ -116,3 +118,19 @@ def mixed_outcome_batch():
         _two_equality_rows(eye, [(a, 1.0), (a, 1.0)]),
         _two_equality_rows(eye, [(e11, 2.0), (off, 0.5)]),  # Optimal
     ]
+
+
+def problem_content(problem) -> tuple:
+    """What `problem` holds, each array by its dtype, shape and bytes and
+    each number by its bits: equal contents, identical problems."""
+
+    def arrays(blocks):
+        return tuple((b, np.asarray(m).dtype.str, np.shape(m), np.asarray(m).tobytes()) for b, m in blocks.items())
+
+    def numbers(coeffs):
+        return tuple((j, np.float64(v).tobytes()) for j, v in coeffs.items())
+
+    rows = tuple(
+        (c.sense, np.float64(c.rhs).tobytes(), arrays(c.blocks), numbers(c.scalars)) for c in problem.constraints
+    )
+    return problem.block_dims, problem.n_scalars, arrays(problem.obj_blocks), numbers(problem.obj_scalars), rows

@@ -1,11 +1,13 @@
 """Tests for SDP assembly, beam recovery, and power/range accounting."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import problem_content
 import swiptcran.beamform as beamform_module
 from swiptcran.beamform import (
     MW_PER_W,
@@ -22,6 +24,7 @@ from swiptcran.beamform import (
     met_harvest,
     power_report,
     recover_beamformers,
+    sdp_key,
     solve_division,
     unsolved_report,
 )
@@ -225,6 +228,81 @@ class TestBuildSdp:
         ch = draw_channels(topo, seed=4, slot=0)
         with pytest.raises(ValueError):
             build_sdp(topo, ch, GroupDivision.all_met(6), PARAMS)
+
+
+class TestSdpKey:
+    """`sdp_key` pins what `build_sdp` builds: an unchanged key means an
+    identical problem, and a parameter the division's rows do not read
+    leaves the key."""
+
+    TOPOLOGY = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+    CHANNELS = draw_channels(TOPOLOGY, seed=5, slot=0)
+    NO_ET = _no_et_topology(5)
+    # name -> (topology, channels, division)
+    CASES = {
+        "all-met": (TOPOLOGY, CHANNELS, GroupDivision.all_met(7)),
+        "all-fet": (TOPOLOGY, CHANNELS, GroupDivision.all_fet(7)),
+        "mixed": (TOPOLOGY, CHANNELS, GroupDivision(7, {1, 3})),
+        "no-et": (NO_ET, draw_channels(NO_ET, seed=5, slot=0), GroupDivision(0)),
+    }
+    # a second valid value of every SystemParams field
+    CHANGED = {
+        "sinr_min": 10.0, "p_amin": 1e-4, "p_fmin": 5e-6, "eta": 0.5, "alpha_abs": 3.0,
+        "p_en": (2.0, 2.5, 3.5), "beta": 2.0, "gamma": 2.0, "noise_power": 2e-7,
+    }
+    # (changed field, params, params): each change, then each signed zero
+    PAIRS = [(name, PARAMS, replace(PARAMS, **{name: value})) for name, value in CHANGED.items()] + [
+        ("p_fmin", replace(PARAMS, p_fmin=0.0), replace(PARAMS, p_fmin=-0.0)),
+        ("p_en", replace(PARAMS, p_en=(0.0, 2.5, 3.0)), replace(PARAMS, p_en=(-0.0, 2.5, 3.0))),
+    ]
+    # (case, field) pairs whose rows do not read the field
+    UNREAD = {("all-fet", "p_amin"), ("all-met", "p_fmin"), ("all-met", "alpha_abs")} | {
+        ("no-et", field) for field in ("p_amin", "p_fmin", "alpha_abs", "eta")
+    }
+
+    @staticmethod
+    def _keyed(division, params=PARAMS, topology=TOPOLOGY, channels=CHANNELS):
+        built = build_sdp(topology, channels, division, params)
+        return sdp_key(topology, channels, division, params), problem_content(built)
+
+    def test_every_field_is_changed(self):
+        assert set(self.CHANGED) == {f.name for f in fields(SystemParams)}
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_a_key_changes_exactly_when_the_build_does(self, name):
+        topology, channels, division = self.CASES[name]
+        for field, a, b in self.PAIRS:
+            key_a, built_a = self._keyed(division, a, topology, channels)
+            key_b, built_b = self._keyed(division, b, topology, channels)
+            unread = (name, field) in self.UNREAD
+            assert (built_a == built_b) is unread, (field, a, b)
+            assert (key_a == key_b) is unread, (field, a, b)
+
+    def test_the_draw_and_the_division_enter_the_key(self):
+        division = self.CASES["mixed"][2]
+        key, built = self._keyed(division)
+        # equal content, fresh objects: equal keys
+        fresh = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        channels = draw_channels(fresh, seed=5, slot=0)
+        assert self._keyed(division, topology=fresh, channels=channels) == (key, built)
+        h_et, h_id = self.CHANNELS.h_et.copy(), self.CHANNELS.h_id.copy()
+        h_et[:, 0] *= 2  # ET 0 is a MET
+        h_id[1, 2] += 1e-9
+        et = list(self.TOPOLOGY.et_positions)
+        et[1] = Position(et[1].x + 1.0, et[1].y)  # ET 1 is a FET
+        for topology, channels in [
+            (self.TOPOLOGY, ChannelRealization(h_id=self.CHANNELS.h_id, h_et=h_et)),
+            (self.TOPOLOGY, ChannelRealization(h_id=h_id, h_et=self.CHANNELS.h_et)),
+            (replace(self.TOPOLOGY, et_positions=tuple(et)), self.CHANNELS),
+        ]:
+            other_key, other_built = self._keyed(division, topology=topology, channels=channels)
+            assert other_built != built and other_key != key
+        divisions = [d for _, _, d in list(self.CASES.values())[:3]] + [GroupDivision(7, {1})]
+        assert len({self._keyed(d)[0] for d in divisions}) == len({self._keyed(d)[1] for d in divisions}) == 4
+        # the same bytes spelled as another dtype or shape are another key, never a false match
+        for h_id in (self.CHANNELS.h_id.view(">c16"), self.CHANNELS.h_id.reshape(1, 9)):
+            channels = SimpleNamespace(h_id=h_id, h_et=self.CHANNELS.h_et)
+            assert sdp_key(self.TOPOLOGY, channels, division, PARAMS) != key
 
 
 class TestSingleItClosedForm:

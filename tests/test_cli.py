@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import problem_content
 import swiptcran.beamform as beamform
 import swiptcran.cli as cli
 import swiptcran.division as division_module
@@ -369,15 +370,15 @@ class TestSweep:
         assert {row["sweep_value"] for row in rows} == {"-20.0", "-17.0"}
 
 
-def _count_batches(monkeypatch) -> list[list[bytes]]:
-    """Record the solve_key of every problem of every `sdp.solve_batch` call;
+def _count_batches(monkeypatch) -> list[list[tuple]]:
+    """Record the content of every problem of every `sdp.solve_batch` call;
     a single solve reaches it too, through `sdp.solve`."""
     batches = []
     real = sdp_module.solve_batch
 
     def counted(problems):
         problems = list(problems)
-        batches.append([sdp_module.solve_key(p) for p in problems])
+        batches.append([problem_content(p) for p in problems])
         return real(problems)
 
     monkeypatch.setattr(sdp_module, "solve_batch", counted)
@@ -399,15 +400,15 @@ class TestSweepStore:
         return cli.run_sweep(self._config(param, values))[0]
 
     @staticmethod
-    def _all_fet_keys(config) -> set[bytes]:
-        """The solve_key of the all-FET SDP at each (draw, sweep value)."""
+    def _all_fet_keys(config) -> set[tuple]:
+        """The content of the all-FET SDP at each (draw, sweep value)."""
         keys = set()
         for trial in range(config.n_trials):
             for value in config.sweep_values:
                 inst = cli._trial_instance(config, trial, config.sweep_param_watts(value))
                 division = GroupDivision.all_fet(config.n_et)
                 problem = beamform.build_sdp(inst.topology, inst.channels, division, inst.params)
-                keys.add(sdp_module.solve_key(problem))
+                keys.add(problem_content(problem))
         return keys
 
     def test_p_amin_sweep_solves_all_fet_once_per_draw(self, monkeypatch):
@@ -470,16 +471,11 @@ class TestOpeningBatch:
                 report = cli._report_fields(result.report)
                 assert {k: row[k] for k in report} == report
 
-    def test_first_value_finds_its_openings_in_its_memo(self, monkeypatch):
-        """One draw of the sweep panel: each instance builds each division
-        it answers once, and the first sweep value's searches run on the
-        instance the opening batch answered, so that value's openings are
-        built once, not twice (the other values' are built again by their
-        own trial instances)."""
-        config = load_config(
-            str(self.CONF_DIR / "sweep-heuristics.conf"),
-            {"run.mode": "sweep", "run.seed": 0, "run.n_trials": 1},
-        )
+    def test_sweep_panel_builds_only_what_it_solves(self, monkeypatch):
+        """The benchmark's sweep panel, master seeds 0-7: each SDP is built
+        once, to be solved, and every sweep value's trial instance finds its
+        searches' openings in the draw's store (103 builds for 103 solves;
+        keying built problems took 181 builds)."""
         instances, builds = [], []
         real_build = beamform.build_sdp
 
@@ -489,21 +485,29 @@ class TestOpeningBatch:
                 instances.append(self)
 
         def counted(topology, channels, division, params):
-            builds.append(params)
+            builds.append(division)
             return real_build(topology, channels, division, params)
 
         monkeypatch.setattr(cli, "Instance", Recorded)
         monkeypatch.setattr(beamform, "build_sdp", counted)
-        cli.run_sweep(config)
-        first = instances[0]
-        # value 0's one instance; an opening instance and a trial instance per other value
-        assert [inst.params is first.params for inst in instances] == [True] + [False] * 6
-        openings = {OPENINGS[name](first) for name in config.algorithms}
-        assert openings <= first.memo.keys() and len(openings) >= 2
-        for params in {id(inst.params): inst.params for inst in instances}.values():
-            built = sum(p is params for p in builds)
-            assert built == sum(len(inst.memo) for inst in instances if inst.params is params)
-        assert len(builds) == sum(len(inst.memo) for inst in instances)
+        batches = _count_batches(monkeypatch)
+        for seed in range(8):
+            config = load_config(
+                str(self.CONF_DIR / "sweep-heuristics.conf"),
+                {"run.mode": "sweep", "run.seed": seed, "run.n_trials": 1},
+            )
+            instances.clear()
+            cli.run_sweep(config)
+            # value 0's trial instance, an opening instance per value, the other values' trial instances
+            assert len(instances) == 2 * len(config.sweep_values)
+            trial = [instances[0], *instances[1 + len(config.sweep_values):]]
+            for inst in trial:
+                assert inst.store is instances[0].store
+                for name in config.algorithms:
+                    opening = OPENINGS[name](inst)
+                    assert beamform.sdp_key(inst.topology, inst.channels, opening, inst.params) in inst.store
+        solved = [content for batch in batches for content in batch]
+        assert len(builds) == len(solved) == len(set(solved)) == 103
 
     def test_training(self, monkeypatch):
         """The benchmark's long-term config at master seed 0: of 32 solves,

@@ -460,7 +460,7 @@ class TestInstance:
             for field in ("p_op", "p_pu", "ranges"):
                 np.testing.assert_array_equal(getattr(report, field), getattr(fresh, field))
 
-    def test_repeated_evaluate_is_answered_from_the_memo(self, monkeypatch):
+    def test_repeated_evaluate_is_answered_from_the_store(self, monkeypatch):
         inst = _instance(11)
         report, solution = inst.evaluate(GroupDivision(7, {0, 3}))
         builds = []
@@ -471,14 +471,15 @@ class TestInstance:
             return real_build(*args, **kwargs)
 
         monkeypatch.setattr(beamform_module, "build_sdp", build)
-        # an equal division, made anew
-        again = inst.evaluate(GroupDivision(7, {3, 0}))
-        assert builds == []
-        assert again[0] is report and again[1] is solution
-        # another instance of the same draw sharing the store still builds for its key
+        # an equal division, made anew, and another instance of the same draw
+        # sharing the store: both find the solution without a build
         shared = Instance(inst.topology, inst.channels, inst.params, store=inst.store)
-        assert shared.evaluate(GroupDivision(7, {0, 3}))[1] is solution
-        assert builds == [GroupDivision(7, {0, 3})]
+        for again in (inst.evaluate(GroupDivision(7, {3, 0})), shared.evaluate(GroupDivision(7, {0, 3}))):
+            assert again[1] is solution
+            assert again[0].objective == report.objective
+            for field in ("p_op", "p_pu", "ranges"):
+                np.testing.assert_array_equal(getattr(again[0], field), getattr(report, field))
+        assert builds == []
 
     def test_evaluate_checks_the_partition_on_every_call(self):
         inst = _instance(11, n_et=2)
@@ -490,7 +491,7 @@ class TestInstance:
 
 class TestEvaluateAll:
     """Every answer of `evaluate_all` equals a fresh instance's `evaluate`,
-    bit for bit, however it was found: memo, store, a lone solve or a batch."""
+    bit for bit, however it was found: store, a lone solve or a batch."""
 
     @staticmethod
     def _watch(monkeypatch) -> dict[str, list]:
@@ -533,26 +534,27 @@ class TestEvaluateAll:
             for block, fresh_block in zip(solution.block_values, fresh_solution.block_values):
                 np.testing.assert_array_equal(block, fresh_block)
 
-    def test_memo_hits_build_nothing(self, monkeypatch):
+    def test_store_hits_build_nothing(self, monkeypatch):
         inst = _instance(11)
         first = inst.evaluate(GroupDivision(7, {0, 3}))
         seen = self._watch(monkeypatch)
-        (again,) = evaluate_all([(inst, GroupDivision(7, {3, 0}))])
-        assert again[0] is first[0] and again[1] is first[1]
+        asks = [(inst, GroupDivision(7, {3, 0}))]
+        answers = evaluate_all(asks)
+        assert answers[0][1] is first[1]
         assert seen == {"builds": [], "lone": [], "batches": []}
+        self._assert_fresh(answers, asks)
 
     def test_store_hit_through_a_sibling_instance(self, monkeypatch):
         inst = _instance(11)
         all_met = GroupDivision.all_met(7)
-        inst.evaluate(all_met)
+        _, solution = inst.evaluate(all_met)
         # the all-MET SDP has no FET floor, so p_fmin moves only the report
         sibling = Instance(inst.topology, inst.channels, SystemParams(p_fmin=PARAMS.p_fmin / 4), inst.store)
         seen = self._watch(monkeypatch)
         asks = [(sibling, all_met)]
         answers = evaluate_all(asks)
-        assert seen == {"builds": [all_met], "lone": [], "batches": []}
-        assert answers[0][1] is inst.memo[all_met][1]
-        assert sibling.memo[all_met] is answers[0]
+        assert seen == {"builds": [], "lone": [], "batches": []}
+        assert answers[0][1] is solution and len(inst.store) == 1
         self._assert_fresh(answers, asks)
 
     def test_duplicate_asks_are_built_and_solved_once(self, monkeypatch):
@@ -562,7 +564,7 @@ class TestEvaluateAll:
         asks = [(inst, a), (inst, b), (inst, GroupDivision(7, {1})), (inst, a)]
         answers = evaluate_all(asks)
         assert seen == {"builds": [a, b], "lone": [], "batches": [2]}
-        assert answers[0] is answers[2] is answers[3] is inst.memo[a]
+        assert answers[0][1] is answers[2][1] is answers[3][1]
         self._assert_fresh(answers, asks)
 
     def test_lone_miss_goes_through_solve_division(self, monkeypatch):
@@ -594,20 +596,20 @@ class TestEvaluateAll:
         self._assert_fresh(answers, asks)
 
     def test_batches_are_near_equal_and_a_key_is_solved_once(self, monkeypatch):
-        # five asks at two per batch: 1 + 2 + 2.  The last asks a key the
-        # first batch solved, on an instance with its own store, which leaves
-        # the third batch one miss
+        # five misses at two per batch: 1 + 2 + 2.  The last ask is the
+        # first's key on an instance with its own store: it is built and
+        # solved once, and both stores take the solution
         monkeypatch.setattr(sdp_module, "BATCH_SIZE", 2)
         inst = _instance(11)
         twin = Instance(inst.topology, inst.channels, inst.params)
-        divisions = [GroupDivision(7, {j}) for j in range(4)]
+        divisions = [GroupDivision(7, {j}) for j in range(5)]
         asks = [(inst, d) for d in divisions] + [(twin, divisions[0])]
         seen = self._watch(monkeypatch)
         answers = evaluate_all(asks)
-        assert seen["builds"] == [d for _, d in asks]
-        assert seen["lone"] == [divisions[0], divisions[3]]
-        assert seen["batches"] == [1, 2, 1]
-        assert answers[4][1] is answers[0][1] and len(twin.store) == 1
+        assert seen["builds"] == divisions
+        assert seen["lone"] == [divisions[0]]
+        assert seen["batches"] == [1, 2, 2]
+        assert answers[5][1] is answers[0][1] and len(twin.store) == 1
         self._assert_fresh(answers, asks)
 
 

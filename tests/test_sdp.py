@@ -20,7 +20,6 @@ from swiptcran.sdp import (
     load_problem,
     solve,
     solve_batch,
-    solve_key,
     verify,
 )
 from swiptcran.longterm import mask_fet_channels
@@ -956,44 +955,6 @@ class TestProblemValidation:
     def test_rejects_non_finite_rhs(self):
         with pytest.raises(ValueError):
             SdpConstraint({}, {0: 1.0}, ">=", float("inf"))
-
-
-class TestSolveKey:
-    @staticmethod
-    def _problem(division=frozenset({1, 3}), **params):
-        topo = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
-        ch = draw_channels(topo, seed=5, slot=0)
-        return build_sdp(topo, ch, GroupDivision(7, division), SystemParams(**params))
-
-    def test_equal_content_gives_equal_keys(self):
-        a, b = self._problem(), self._problem()
-        assert a.constraints[0].blocks[0] is not b.constraints[0].blocks[0]
-        assert solve_key(a) == solve_key(b)
-
-    def test_every_part_of_the_content_counts(self):
-        base = solve_key(self._problem())
-        assert solve_key(self._problem(frozenset({1}))) != base
-        assert solve_key(self._problem(p_fmin=5e-6)) != base  # an rhs
-        assert solve_key(self._problem(gamma=2.0)) != base  # an objective block
-        assert solve_key(self._problem(beta=2.0)) != base  # an objective scalar
-
-    def test_parameters_the_sdp_does_not_read_leave_the_key(self):
-        all_fet = frozenset(range(7))
-        assert solve_key(self._problem(all_fet)) == solve_key(self._problem(all_fet, p_amin=1e-4))
-
-    def test_value_and_spelling(self):
-        def one(mat, rhs=1.0):
-            return SdpProblem((2,), 0, {0: np.eye(2)}, {}, (SdpConstraint({0: mat}, {}, ">=", rhs),))
-
-        assert solve_key(one(np.eye(2))) != solve_key(one(2 * np.eye(2)))
-        assert solve_key(one(np.eye(2), 0.0)) != solve_key(one(np.eye(2), -0.0))
-        # the same value as another dtype is a different key, never a false match
-        assert solve_key(one(np.eye(2))) != solve_key(one(np.eye(2, dtype=complex)))
-        # an object array's raw bytes are pointers; its values must reach the key
-        ones = [np.array([[1.0, 0.0], [0.0, x]], dtype=object) for x in (1.0, 2.0)]
-        fresh = np.array([[float("1"), float("0")], [float("0"), float("1")]], dtype=object)
-        assert solve_key(one(ones[0])) == solve_key(one(fresh))
-        assert solve_key(one(ones[0])) != solve_key(one(ones[1]))
 
 
 class TestDumpLoad:
