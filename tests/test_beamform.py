@@ -278,13 +278,15 @@ class TestSdpKey:
             assert (built_a == built_b) is unread, (field, a, b)
             assert (key_a == key_b) is unread, (field, a, b)
 
+    def test_fresh_objects_of_equal_content_give_equal_keys(self):
+        division = self.CASES["mixed"][2]
+        fresh = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
+        channels = draw_channels(fresh, seed=5, slot=0)
+        assert self._keyed(division, topology=fresh, channels=channels) == self._keyed(division)
+
     def test_the_draw_and_the_division_enter_the_key(self):
         division = self.CASES["mixed"][2]
         key, built = self._keyed(division)
-        # equal content, fresh objects: equal keys
-        fresh = generate_topology(seed=5, n_rrh=3, n_it=3, n_et=7)
-        channels = draw_channels(fresh, seed=5, slot=0)
-        assert self._keyed(division, topology=fresh, channels=channels) == (key, built)
         h_et, h_id = self.CHANNELS.h_et.copy(), self.CHANNELS.h_id.copy()
         h_et[:, 0] *= 2  # ET 0 is a MET
         h_id[1, 2] += 1e-9
@@ -299,7 +301,10 @@ class TestSdpKey:
             assert other_built != built and other_key != key
         divisions = [d for _, _, d in list(self.CASES.values())[:3]] + [GroupDivision(7, {1})]
         assert len({self._keyed(d)[0] for d in divisions}) == len({self._keyed(d)[1] for d in divisions}) == 4
-        # the same bytes spelled as another dtype or shape are another key, never a false match
+
+    def test_the_same_bytes_in_another_dtype_or_shape_are_another_key(self):
+        division = self.CASES["mixed"][2]
+        key = sdp_key(self.TOPOLOGY, self.CHANNELS, division, PARAMS)
         for h_id in (self.CHANNELS.h_id.view(">c16"), self.CHANNELS.h_id.reshape(1, 9)):
             channels = SimpleNamespace(h_id=h_id, h_et=self.CHANNELS.h_et)
             assert sdp_key(self.TOPOLOGY, channels, division, PARAMS) != key
