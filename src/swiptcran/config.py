@@ -134,7 +134,10 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported sweep parameter {self.sweep_param!r}")
         if not self.sweep_values:
             raise ConfigError("sweep.values must be nonempty")
-        # only a sweep reads sweep.values, so only a sweep checks its points
+        # only a sweep reads sweep.values, so only a sweep checks its points;
+        # a repeat would run its point twice and count its trials twice
+        if self.mode == "sweep" and len(set(self.sweep_values)) < len(self.sweep_values):
+            raise ConfigError(f"sweep.values must have no repeats, got {self.sweep_values!r}")
         for value in self.sweep_values if self.mode == "sweep" else ():
             try:
                 self.sweep_param_watts(value)

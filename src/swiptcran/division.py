@@ -78,13 +78,13 @@ class DivisionRunResult:
 class Instance:
     """One channel draw's division problem: topology, channels and params.
 
-    `evaluate(division)` is `evaluate_all` on one pair.  `store` maps an
-    SDP's `beamform.sdp_key` to its SdpSolution; instances of one draw may
-    share it, so a sweep value that leaves a division's SDP unchanged
-    reuses its solution.  The key pins the solution but not every parameter
-    the report reads, so each answer's report is made from the asking
-    instance's own params.  Callers share the returned solutions and must
-    not modify them.
+    `evaluate(division)` is the `power_report`, under this instance's own
+    params, of the solution `evaluate_all` answers for that one pair.
+    `store` maps an SDP's `beamform.sdp_key` to its SdpSolution; instances
+    of one draw may share it, so a sweep value that leaves a division's SDP
+    unchanged reuses its solution.  The key pins the solution but not every
+    parameter the report reads, hence the asker's params.  Callers share
+    the stored solutions and must not modify them.
     """
 
     def __init__(self, topology, channels, params: SystemParams, store: dict | None = None):
@@ -93,13 +93,14 @@ class Instance:
         self.params = params
         self.store: dict[tuple, SdpSolution] = {} if store is None else store
 
-    def evaluate(self, division: GroupDivision) -> tuple[PowerReport, SdpSolution]:
-        return evaluate_all([(self, division)])[0]
+    def evaluate(self, division: GroupDivision) -> PowerReport:
+        return power_report(evaluate_all([(self, division)])[0], self.params)
 
 
-def evaluate_all(asks) -> list[tuple[PowerReport, SdpSolution]]:
-    """Answer each (instance, division) pair of `asks`, in order, with what
-    `solve_division` gives for it alone.
+def evaluate_all(asks) -> list[SdpSolution]:
+    """Answer each (instance, division) pair of `asks`, in order, with the
+    `SdpSolution` its instance's store holds for it: the solution
+    `solve_division` gives for that pair alone.  No report is made.
 
     Every pair is keyed by `sdp_key` first, with no build.  A pair whose
     key is not in its asker's store is a miss; each missed key is built
@@ -109,7 +110,7 @@ def evaluate_all(asks) -> list[tuple[PowerReport, SdpSolution]]:
     solved.  A batch is solved as one `sdp.solve_batch` (a lone miss by
     `solve_division`), which equals solving alone and takes problems of
     one structure: the instances of one call share their RRH, IT and ET
-    counts.  Each report is made from its asker's params.
+    counts.
     """
     keyed = [(inst, d, sdp_key(inst.topology, inst.channels, d, inst.params)) for inst, d in asks]
     misses: dict[tuple, tuple[Instance, GroupDivision]] = {}
@@ -133,11 +134,7 @@ def evaluate_all(asks) -> list[tuple[PowerReport, SdpSolution]]:
         else:
             solutions = sdp.solve_batch(problems)
         solved.update(zip(batch, solutions))
-    answers = []
-    for inst, _, key in keyed:
-        solution = inst.store.setdefault(key, solved.get(key))
-        answers.append((power_report(solution, inst.params), solution))
-    return answers
+    return [inst.store.setdefault(key, solved.get(key)) for inst, _, key in keyed]
 
 
 def _assigned_distance(topology, et_index: int) -> tuple[int, float]:
@@ -197,7 +194,8 @@ def solve_openings(asks) -> None:
     `asks` names as (instance, search name) pairs; a name without an entry
     in `OPENINGS` is skipped.  A search run afterwards returns what it
     returns without this call, and one on an instance that shares an asked
-    instance's draw, params and store finds its opening solved there."""
+    instance's draw, params and store finds its opening solved there.
+    Only solutions are stored; no report is made."""
     evaluate_all((inst, OPENINGS[name](inst)) for inst, name in asks if name in OPENINGS)
 
 
@@ -228,8 +226,8 @@ def boundary_refine(instance: Instance, division: GroupDivision, ranges) -> Grou
             continue
         as_met = GroupDivision(division.n_et, fet - {j})
         as_fet = GroupDivision(division.n_et, fet | {j})
-        rep_met, _ = instance.evaluate(as_met)
-        rep_fet, _ = instance.evaluate(as_fet)
+        rep_met = instance.evaluate(as_met)
+        rep_fet = instance.evaluate(as_fet)
         best = _cheapest([(as_fet, rep_fet), (as_met, rep_met)])
         if best is None:
             if rep_met.status is rep_fet.status is SdpStatus.INFEASIBLE:
@@ -252,7 +250,7 @@ def update_division(
     together with the report of `prev`.  When `prev` does not solve the new
     division is None and the report carries the solver's status.
     """
-    report, _ = instance.evaluate(prev)
+    report = instance.evaluate(prev)
     if not report.feasible:
         return None, report
     division = _classify_by_ranges(instance.topology, report.ranges)
@@ -341,7 +339,7 @@ def brute_force(instance: Instance) -> DivisionRunResult:
     if n_et > BRUTE_FORCE_CAP:
         raise ValueError(f"{n_et} ETs exceed the brute force cap of {BRUTE_FORCE_CAP}")
     divisions = (GroupDivision.from_bitmask(mask, n_et) for mask in range(1 << n_et))
-    tried = [(division, instance.evaluate(division)[0]) for division in divisions]
+    tried = [(division, instance.evaluate(division)) for division in divisions]
     unsolved = [r.status for _, r in tried if r.status not in (SdpStatus.OPTIMAL, SdpStatus.INFEASIBLE)]
     best = _cheapest(tried)
     if best is None:
@@ -355,7 +353,7 @@ def brute_force(instance: Instance) -> DivisionRunResult:
 
 def _fixed(instance: Instance, name: str) -> DivisionRunResult:
     division = OPENINGS[name](instance)
-    return _single_result(division, instance.evaluate(division)[0])
+    return _single_result(division, instance.evaluate(division))
 
 
 def baseline_all_fet(instance: Instance) -> DivisionRunResult:

@@ -17,7 +17,7 @@ import numpy as np
 
 # this module calls no solve_division, but perfbench/tracing.py wraps
 # longterm.solve_division, so the name stays a module attribute
-from .beamform import GroupDivision, PowerReport, SystemParams, solve_division  # noqa: F401
+from .beamform import GroupDivision, PowerReport, SystemParams, power_report, solve_division  # noqa: F401
 from .division import DivisionRunResult, Instance, algorithm1, algorithm2, evaluate_all, solve_openings
 from .sdp import SdpStatus
 from .topology import ChannelRealization, draw_channels
@@ -75,10 +75,10 @@ def training_stage(
 ) -> TrainingResult:
     """Estimate each ET's FET frequency over `q_training` fading slots.
 
-    `algorithm` (a name in `ALGORITHMS`, or a callable taking an `Instance`)
-    runs once per slot on that slot's draw.  For a name, every slot's
-    opening division is solved first, as one batch
-    (`division.solve_openings`).  The frozen division assigns FET
+    The search `ALGORITHMS[algorithm]` runs once per slot on that slot's
+    draw.  Every slot's opening division is solved first, as one batch
+    (`division.solve_openings`); a name with no `division.OPENINGS` entry
+    solves nothing up front.  The frozen division assigns FET
     to every ET whose frequency reaches `threshold`; an exact tie freezes as
     FET (the CSI-free mode is cheaper).  A training in which no slot solves
     is an outcome, not an error: the result's `status` reports it.
@@ -88,20 +88,15 @@ def training_stage(
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
     params = params or SystemParams()
-    if callable(algorithm):
-        run = algorithm
-    elif algorithm in ALGORITHMS:
-        run = ALGORITHMS[algorithm]
-    else:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(ALGORITHMS)}")
+    run = ALGORITHMS[algorithm]
 
     instances = [
         Instance(topology, draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs), params)
         for slot in range(q_training)
     ]
-    # a named search opens every slot with a known division: one batch
-    if not callable(algorithm):
-        solve_openings((instance, algorithm) for instance in instances)
+    solve_openings((instance, algorithm) for instance in instances)
     counts = np.zeros(topology.n_et)
     slots_used = 0
     unsolved = None
@@ -136,8 +131,9 @@ def longterm_stage(
     reported.  Each distinct division is evaluated once, and all its
     (division, slot) problems go to one `evaluate_all` call, which builds
     and solves each distinct one once, in the fewest near-equal batches
-    (all divisions of a topology share one SDP structure); each report
-    equals what `solve_division` gives for its slot alone.  Unsolved
+    (all divisions of a topology share one SDP structure); each slot's
+    report is the `power_report` of its solution, equal to what
+    `solve_division` gives for that slot alone.  Unsolved
     slots yield NaN reports with `feasible` false and the solver's status
     (`Infeasible` or `MaxIterations`) in `status`.
     """
@@ -148,11 +144,11 @@ def longterm_stage(
     for division in distinct:
         division.validate_for(topology.n_et)
     draws = [draw_channels(topology, seed, slot, alpha_abs=params.alpha_abs) for slot in range(q_longterm)]
-    answers = evaluate_all(
+    solutions = evaluate_all(
         (Instance(topology, mask_fet_channels(ch, division), params), division)
         for division in distinct
         for ch in draws
     )
-    reports = [report for report, _ in answers]
+    reports = [power_report(solution, params) for solution in solutions]
     by_division = {d: reports[i * q_longterm:(i + 1) * q_longterm] for i, d in enumerate(distinct)}
     return [by_division[d] for d in divisions]

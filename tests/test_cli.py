@@ -183,6 +183,8 @@ class TestMainSingleSlot:
             ("p_fmin_dbm", -10),  # above p_amin
             ("p_amin_dbm", "Infinity"),
             ("p_amin_dbm", 4000),  # overflows in watts
+            ("p_amin_dbm", "-17, -17"),  # a repeat would run its point twice
+            ("p_amin_dbm", "-17, -17.0"),
         ],
     )
     def test_bad_sweep_value_exits_before_any_trial(self, tmp_path, capsys, param, value):
@@ -508,6 +510,38 @@ class TestOpeningBatch:
                     assert beamform.sdp_key(inst.topology, inst.channels, opening, inst.params) in inst.store
         solved = [content for batch in batches for content in batch]
         assert len(builds) == len(solved) == len(set(solved)) == 103
+
+    @staticmethod
+    def _count_reports(monkeypatch) -> list:
+        """Record every report the division layer makes: each `Instance.evaluate`
+        and each long-term slot."""
+        reports = []
+        for module in (division_module, longterm_module):
+            real = module.power_report
+
+            def counted(source, params, real=real):
+                reports.append(source)
+                return real(source, params)
+
+            monkeypatch.setattr(module, "power_report", counted)
+        return reports
+
+    def test_reports_are_made_only_where_read(self, monkeypatch):
+        """The benchmark's sweep panel (master seeds 0-7) makes 407 reports,
+        none for its 128 opening asks, and its long-term trial (seed 0) 220:
+        70 for training's searches and 150 for the stage's slots."""
+        reports = self._count_reports(monkeypatch)
+        for seed in range(8):
+            cli.run_sweep(load_config(
+                str(self.CONF_DIR / "sweep-heuristics.conf"),
+                {"run.mode": "sweep", "run.seed": seed, "run.n_trials": 1},
+            ))
+        assert len(reports) == 407
+        reports.clear()
+        cli.run_longterm(load_config(
+            str(self.CONF_DIR / "longterm.conf"), {"run.mode": "longterm", "run.seed": 0, "run.n_trials": 1}
+        ))
+        assert len(reports) == 220
 
     def test_training(self, monkeypatch):
         """The benchmark's long-term config at master seed 0: of 32 solves,

@@ -10,6 +10,8 @@ from swiptcran.beamform import (
     GroupDivision,
     PowerReport,
     SystemParams,
+    power_report,
+    sdp_key,
     solve_division,
     unsolved_report,
 )
@@ -20,6 +22,7 @@ from swiptcran.division import (
     BRUTE_FORCE_CAP,
     DivisionRunResult,
     Instance,
+    OPENINGS,
     Termination,
     _cheapest,
     _iterate,
@@ -31,6 +34,7 @@ from swiptcran.division import (
     brute_force,
     channel_check,
     evaluate_all,
+    solve_openings,
     update_division,
 )
 from swiptcran.sdp import SdpStatus
@@ -328,7 +332,7 @@ class TestAlgorithms:
         assert math.isnan(res.report.objective)
         assert res.report.status is SdpStatus.INFEASIBLE
         assert res.final_division == GroupDivision.all_fet(7)
-        _, solution = inst.evaluate(res.final_division)
+        [solution] = evaluate_all([(inst, res.final_division)])
         assert solution.status is SdpStatus.INFEASIBLE
         assert solution.detail.startswith("Farkas dual ray certificate")
 
@@ -451,18 +455,19 @@ class TestInstance:
         store = {}
         shared = [Instance(topo, ch, p, store=store) for p in params]
         all_met = GroupDivision.all_met(7)
-        reports = [inst.evaluate(all_met)[0] for inst in shared]
+        reports = [inst.evaluate(all_met) for inst in shared]
         assert masks == [0] and len(store) == 1
         assert not np.array_equal(reports[0].ranges, reports[1].ranges)
         for report, p in zip(reports, params):
-            fresh, _ = Instance(topo, ch, p).evaluate(all_met)
+            fresh = Instance(topo, ch, p).evaluate(all_met)
             assert report.objective == fresh.objective
             for field in ("p_op", "p_pu", "ranges"):
                 np.testing.assert_array_equal(getattr(report, field), getattr(fresh, field))
 
     def test_repeated_evaluate_is_answered_from_the_store(self, monkeypatch):
         inst = _instance(11)
-        report, solution = inst.evaluate(GroupDivision(7, {0, 3}))
+        report = inst.evaluate(GroupDivision(7, {0, 3}))
+        [solution] = inst.store.values()
         builds = []
         real_build = beamform_module.build_sdp
 
@@ -474,11 +479,12 @@ class TestInstance:
         # an equal division, made anew, and another instance of the same draw
         # sharing the store: both find the solution without a build
         shared = Instance(inst.topology, inst.channels, inst.params, store=inst.store)
-        for again in (inst.evaluate(GroupDivision(7, {3, 0})), shared.evaluate(GroupDivision(7, {0, 3}))):
-            assert again[1] is solution
-            assert again[0].objective == report.objective
+        for asker, division in ((inst, GroupDivision(7, {3, 0})), (shared, GroupDivision(7, {0, 3}))):
+            assert evaluate_all([(asker, division)])[0] is solution
+            again = asker.evaluate(division)
+            assert again.objective == report.objective
             for field in ("p_op", "p_pu", "ranges"):
-                np.testing.assert_array_equal(getattr(again[0], field), getattr(report, field))
+                np.testing.assert_array_equal(getattr(again, field), getattr(report, field))
         assert builds == []
 
     def test_evaluate_checks_the_partition_on_every_call(self):
@@ -490,8 +496,9 @@ class TestInstance:
 
 
 class TestEvaluateAll:
-    """Every answer of `evaluate_all` equals a fresh instance's `evaluate`,
-    bit for bit, however it was found: store, a lone solve or a batch."""
+    """Every answer of `evaluate_all` equals a fresh instance's solution, and
+    its report that instance's `evaluate`, bit for bit, however it was
+    found: store, a lone solve or a batch."""
 
     @staticmethod
     def _watch(monkeypatch) -> dict[str, list]:
@@ -521,8 +528,11 @@ class TestEvaluateAll:
     @staticmethod
     def _assert_fresh(answers, asks):
         assert len(answers) == len(asks)
-        for (report, solution), (inst, division) in zip(answers, asks):
-            fresh, fresh_solution = Instance(inst.topology, inst.channels, inst.params).evaluate(division)
+        for solution, (inst, division) in zip(answers, asks):
+            alone = Instance(inst.topology, inst.channels, inst.params)
+            fresh = alone.evaluate(division)
+            [fresh_solution] = alone.store.values()
+            report = power_report(solution, inst.params)
             assert report.status is fresh.status
             assert report.objective == fresh.objective or (
                 math.isnan(report.objective) and math.isnan(fresh.objective)
@@ -536,25 +546,25 @@ class TestEvaluateAll:
 
     def test_store_hits_build_nothing(self, monkeypatch):
         inst = _instance(11)
-        first = inst.evaluate(GroupDivision(7, {0, 3}))
+        [first] = evaluate_all([(inst, GroupDivision(7, {0, 3}))])
         seen = self._watch(monkeypatch)
         asks = [(inst, GroupDivision(7, {3, 0}))]
         answers = evaluate_all(asks)
-        assert answers[0][1] is first[1]
+        assert answers[0] is first
         assert seen == {"builds": [], "lone": [], "batches": []}
         self._assert_fresh(answers, asks)
 
     def test_store_hit_through_a_sibling_instance(self, monkeypatch):
         inst = _instance(11)
         all_met = GroupDivision.all_met(7)
-        _, solution = inst.evaluate(all_met)
+        [solution] = evaluate_all([(inst, all_met)])
         # the all-MET SDP has no FET floor, so p_fmin moves only the report
         sibling = Instance(inst.topology, inst.channels, SystemParams(p_fmin=PARAMS.p_fmin / 4), inst.store)
         seen = self._watch(monkeypatch)
         asks = [(sibling, all_met)]
         answers = evaluate_all(asks)
         assert seen == {"builds": [], "lone": [], "batches": []}
-        assert answers[0][1] is solution and len(inst.store) == 1
+        assert answers[0] is solution and len(inst.store) == 1
         self._assert_fresh(answers, asks)
 
     def test_duplicate_asks_are_built_and_solved_once(self, monkeypatch):
@@ -564,7 +574,7 @@ class TestEvaluateAll:
         asks = [(inst, a), (inst, b), (inst, GroupDivision(7, {1})), (inst, a)]
         answers = evaluate_all(asks)
         assert seen == {"builds": [a, b], "lone": [], "batches": [2]}
-        assert answers[0][1] is answers[2][1] is answers[3][1]
+        assert answers[0] is answers[2] is answers[3]
         self._assert_fresh(answers, asks)
 
     def test_lone_miss_goes_through_solve_division(self, monkeypatch):
@@ -592,7 +602,7 @@ class TestEvaluateAll:
         seen = self._watch(monkeypatch)
         answers = evaluate_all(asks)
         assert seen["batches"] == [2]
-        assert all(report.status is SdpStatus.INFEASIBLE for report, _ in answers)
+        assert all(solution.status is SdpStatus.INFEASIBLE for solution in answers)
         self._assert_fresh(answers, asks)
 
     def test_batches_are_near_equal_and_a_key_is_solved_once(self, monkeypatch):
@@ -609,8 +619,38 @@ class TestEvaluateAll:
         assert seen["builds"] == divisions
         assert seen["lone"] == [divisions[0]]
         assert seen["batches"] == [1, 2, 2]
-        assert answers[5][1] is answers[0][1] and len(twin.store) == 1
+        assert answers[5] is answers[0] and len(twin.store) == 1
         self._assert_fresh(answers, asks)
+
+    def test_each_answer_is_the_solution_in_its_askers_store(self):
+        # a store hit, a batch of misses over two draws, a repeat, and an
+        # equal key on an instance with its own store
+        inst, other = _instance(11), _instance(14)
+        twin = Instance(inst.topology, inst.channels, inst.params)
+        evaluate_all([(inst, GroupDivision.all_met(7))])
+        asks = [(inst, GroupDivision.all_met(7)), (other, GroupDivision(7, {6})),
+                (inst, GroupDivision(7, {0, 3})), (twin, GroupDivision(7, {3, 0})),
+                (other, GroupDivision(7, {6}))]
+        answers = evaluate_all(asks)
+        for solution, (asker, division) in zip(answers, asks):
+            assert solution is asker.store[sdp_key(asker.topology, asker.channels, division, asker.params)]
+        self._assert_fresh(answers, asks)
+
+    def test_solve_openings_makes_no_report(self, monkeypatch):
+        reports = []
+        real = division_module.power_report
+
+        def counted(source, params):
+            reports.append(source)
+            return real(source, params)
+
+        monkeypatch.setattr(division_module, "power_report", counted)
+        instances = [_instance(11), _instance(14)]
+        solve_openings((inst, name) for inst in instances for name in ("alg1", "alg2", "brute", "all-fet", "all-met"))
+        assert reports == []
+        for inst in instances:
+            for opening in OPENINGS.values():
+                assert sdp_key(inst.topology, inst.channels, opening(inst), inst.params) in inst.store
 
 
 # (seed, algorithm) -> (final bitmask, termination, iterations, objective) on

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swiptcran import beamform, sdp
+from swiptcran import beamform, longterm, sdp
 from swiptcran.beamform import (
     GroupDivision,
     PowerReport,
@@ -63,14 +63,12 @@ def _not_converged_result(n_et: int) -> DivisionRunResult:
     )
 
 
-def _scripted_algorithm(outcomes):
-    """Fake single-slot algorithm replaying `outcomes` across calls."""
+def _scripted_algorithm(monkeypatch, outcomes) -> str:
+    """Register a fake training search replaying `outcomes` across calls;
+    returns its name, which has no opening."""
     it = iter(outcomes)
-
-    def run(instance):
-        return next(it)
-
-    return run
+    monkeypatch.setitem(longterm.ALGORITHMS, "scripted", lambda instance: next(it))
+    return "scripted"
 
 
 class TestMaskFetChannels:
@@ -90,62 +88,65 @@ class TestTrainingStage:
     def _topology(self, n_et=2):
         return generate_topology(seed=5, n_rrh=3, n_it=3, n_et=n_et)
 
-    def test_frequency_uses_training_length_as_denominator(self):
+    def test_frequency_uses_training_length_as_denominator(self, monkeypatch):
         topo = self._topology(n_et=2)
         fet0 = GroupDivision(2, frozenset({0}))
         none_fet = GroupDivision.all_met(2)
         outcomes = [_feasible_result(fet0)] * 5 + [_feasible_result(none_fet)] * 3
         outcomes += [_not_converged_result(2), _infeasible_result(2)]
-        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(outcomes))
+        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(monkeypatch, outcomes))
         np.testing.assert_allclose(result.fet_frequency, [0.5, 0.0])
         assert result.slots_used == 8
         # an unsolved slot does not fail a training whose other slots solved
         assert result.status is SdpStatus.OPTIMAL and result.feasible
 
-    def test_exact_tie_freezes_as_fet(self):
+    def test_exact_tie_freezes_as_fet(self, monkeypatch):
         topo = self._topology(n_et=1)
         fet = GroupDivision.all_fet(1)
         met = GroupDivision.all_met(1)
         outcomes = [_feasible_result(fet)] * 5 + [_feasible_result(met)] * 5
-        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(outcomes))
+        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(monkeypatch, outcomes))
         assert result.fet_frequency[0] == 0.5
         assert result.frozen_division.fet_set == {0}
 
-    def test_threshold_one_requires_unanimity(self):
+    def test_threshold_one_requires_unanimity(self, monkeypatch):
         topo = self._topology(n_et=1)
         fet = GroupDivision.all_fet(1)
         met = GroupDivision.all_met(1)
         outcomes = [_feasible_result(fet)] * 9 + [_feasible_result(met)]
         result = training_stage(
-            topo, seed=0, q_training=10, threshold=1.0, algorithm=_scripted_algorithm(outcomes)
+            topo, seed=0, q_training=10, threshold=1.0, algorithm=_scripted_algorithm(monkeypatch, outcomes)
         )
         assert result.frozen_division.fet_set == set()
 
-    def test_all_slots_infeasible_reports_infeasible(self):
+    def test_all_slots_infeasible_reports_infeasible(self, monkeypatch):
         topo = self._topology(n_et=2)
         outcomes = [_infeasible_result(2)] * 3
-        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(outcomes))
+        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(monkeypatch, outcomes))
         assert result.status is SdpStatus.INFEASIBLE
         assert not result.feasible
         assert result.slots_used == 0
 
-    def test_unsolved_slot_is_not_reported_infeasible(self):
+    def test_unsolved_slot_is_not_reported_infeasible(self, monkeypatch):
         topo = self._topology(n_et=2)
         outcomes = [_infeasible_result(2), _not_converged_result(2), _infeasible_result(2)]
-        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(outcomes))
+        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(monkeypatch, outcomes))
         assert result.status is SdpStatus.MAX_ITERATIONS
         assert not result.feasible
 
-    def test_each_slot_runs_on_its_own_draw(self):
+    def test_each_slot_runs_on_its_own_draw(self, monkeypatch):
         topo = self._topology(n_et=2)
         params = SystemParams(alpha_abs=3.0)
         seen = []
 
         def record(instance):
+            # a search with no opening has nothing solved up front
+            assert instance.store == {}
             seen.append(instance)
             return _feasible_result(GroupDivision.all_met(2))
 
-        training_stage(topo, seed=6, q_training=3, params=params, algorithm=record)
+        monkeypatch.setitem(longterm.ALGORITHMS, "recorded", record)
+        training_stage(topo, seed=6, q_training=3, params=params, algorithm="recorded")
         assert len({id(inst) for inst in seen}) == 3
         for slot, inst in enumerate(seen):
             assert isinstance(inst, Instance)
@@ -180,6 +181,9 @@ class TestTrainingStage:
             training_stage(topo, seed=0, threshold=1.5)
         with pytest.raises(ValueError):
             training_stage(topo, seed=0, algorithm="alg9")
+        # training runs a named search only
+        with pytest.raises(ValueError):
+            training_stage(topo, seed=0, algorithm=longterm.ALGORITHMS["alg2"])
 
 
 class TestLongtermStage:

@@ -86,12 +86,14 @@ with open(out, "w", encoding="utf-8") as fh:
 
 @pytest.mark.parametrize(
     "mode, workload, trials",
-    [("sweep", "sweep-heuristics", 1), ("single-slot", "reference-infeasible", 2)],
+    [("sweep", "sweep-heuristics", 1), ("single-slot", "reference-infeasible", 2),
+     ("longterm", "longterm", 1)],
 )
 def test_traced_runs_stay_computable(tmp_path, mode, workload, trials):
     # the tracer's solve metrics are medians over its `sdp.solve` spans, so
     # a run that made every solve in batches would leave them undefined; at
-    # the infeasible 4-IT load every solve is a search's opening
+    # the infeasible 4-IT load every solve is a search's opening, and a
+    # long-term run's only lone solves are training's
     conf = ROOT / "perfbench" / "conf" / f"{workload}.conf"
     out = tmp_path / "metrics.json"
     subprocess.run(
