@@ -646,7 +646,8 @@ class TestEvaluateAll:
 
         monkeypatch.setattr(division_module, "power_report", counted)
         instances = [_instance(11), _instance(14)]
-        solve_openings((inst, name) for inst in instances for name in ("alg1", "alg2", "brute", "all-fet", "all-met"))
+        names = ("alg1", "alg2", "brute", "all-fet", "all-met")
+        solve_openings((inst, name) for inst in instances for name in names)
         assert reports == []
         for inst in instances:
             for opening in OPENINGS.values():

@@ -63,12 +63,17 @@ def _not_converged_result(n_et: int) -> DivisionRunResult:
     )
 
 
-def _scripted_algorithm(monkeypatch, outcomes) -> str:
-    """Register a fake training search replaying `outcomes` across calls;
-    returns its name, which has no opening."""
-    it = iter(outcomes)
-    monkeypatch.setitem(longterm.ALGORITHMS, "scripted", lambda instance: next(it))
-    return "scripted"
+@pytest.fixture
+def scripted(monkeypatch):
+    """`scripted(outcomes)` registers a fake training search replaying
+    `outcomes` across calls and returns its name, which has no opening."""
+
+    def register(outcomes) -> str:
+        it = iter(outcomes)
+        monkeypatch.setitem(longterm.ALGORITHMS, "scripted", lambda instance: next(it))
+        return "scripted"
+
+    return register
 
 
 class TestMaskFetChannels:
@@ -88,49 +93,49 @@ class TestTrainingStage:
     def _topology(self, n_et=2):
         return generate_topology(seed=5, n_rrh=3, n_it=3, n_et=n_et)
 
-    def test_frequency_uses_training_length_as_denominator(self, monkeypatch):
+    def test_frequency_uses_training_length_as_denominator(self, scripted):
         topo = self._topology(n_et=2)
         fet0 = GroupDivision(2, frozenset({0}))
         none_fet = GroupDivision.all_met(2)
         outcomes = [_feasible_result(fet0)] * 5 + [_feasible_result(none_fet)] * 3
         outcomes += [_not_converged_result(2), _infeasible_result(2)]
-        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(monkeypatch, outcomes))
+        result = training_stage(topo, seed=0, q_training=10, algorithm=scripted(outcomes))
         np.testing.assert_allclose(result.fet_frequency, [0.5, 0.0])
         assert result.slots_used == 8
         # an unsolved slot does not fail a training whose other slots solved
         assert result.status is SdpStatus.OPTIMAL and result.feasible
 
-    def test_exact_tie_freezes_as_fet(self, monkeypatch):
+    def test_exact_tie_freezes_as_fet(self, scripted):
         topo = self._topology(n_et=1)
         fet = GroupDivision.all_fet(1)
         met = GroupDivision.all_met(1)
         outcomes = [_feasible_result(fet)] * 5 + [_feasible_result(met)] * 5
-        result = training_stage(topo, seed=0, q_training=10, algorithm=_scripted_algorithm(monkeypatch, outcomes))
+        result = training_stage(topo, seed=0, q_training=10, algorithm=scripted(outcomes))
         assert result.fet_frequency[0] == 0.5
         assert result.frozen_division.fet_set == {0}
 
-    def test_threshold_one_requires_unanimity(self, monkeypatch):
+    def test_threshold_one_requires_unanimity(self, scripted):
         topo = self._topology(n_et=1)
         fet = GroupDivision.all_fet(1)
         met = GroupDivision.all_met(1)
         outcomes = [_feasible_result(fet)] * 9 + [_feasible_result(met)]
         result = training_stage(
-            topo, seed=0, q_training=10, threshold=1.0, algorithm=_scripted_algorithm(monkeypatch, outcomes)
+            topo, seed=0, q_training=10, threshold=1.0, algorithm=scripted(outcomes)
         )
         assert result.frozen_division.fet_set == set()
 
-    def test_all_slots_infeasible_reports_infeasible(self, monkeypatch):
+    def test_all_slots_infeasible_reports_infeasible(self, scripted):
         topo = self._topology(n_et=2)
         outcomes = [_infeasible_result(2)] * 3
-        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(monkeypatch, outcomes))
+        result = training_stage(topo, seed=0, q_training=3, algorithm=scripted(outcomes))
         assert result.status is SdpStatus.INFEASIBLE
         assert not result.feasible
         assert result.slots_used == 0
 
-    def test_unsolved_slot_is_not_reported_infeasible(self, monkeypatch):
+    def test_unsolved_slot_is_not_reported_infeasible(self, scripted):
         topo = self._topology(n_et=2)
         outcomes = [_infeasible_result(2), _not_converged_result(2), _infeasible_result(2)]
-        result = training_stage(topo, seed=0, q_training=3, algorithm=_scripted_algorithm(monkeypatch, outcomes))
+        result = training_stage(topo, seed=0, q_training=3, algorithm=scripted(outcomes))
         assert result.status is SdpStatus.MAX_ITERATIONS
         assert not result.feasible
 
